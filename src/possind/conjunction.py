@@ -73,7 +73,11 @@ def generator_invert(g: Generator, y):
 
 
 class Conjunction:
-    """Continuous, monotone binary operation on [0, 1] with residuum."""
+    """Continuous, monotone binary operation on [0, 1] with residuum.
+
+    Instances key distributions' memos of conditionals, so they must be
+    hashable; the three families are frozen dataclasses.
+    """
 
     def conjoin(self, a, b):
         return _binary_op(a, b, self._conjoin)
@@ -152,10 +156,10 @@ class ProductLike(Conjunction):
 
     def _residuum(self, aa, bb):
         g = self.generator
-        fa = g.apply(aa)
-        fb = g.apply(bb)
-        quot = np.divide(fb, fa, out=np.ones_like(fa + 0.0), where=(aa > bb))
-        out = np.where(bb >= aa, 1.0, g.invert(quot))
+        # phi(b / a) = phi(b) / phi(a) for power generators, without the
+        # 0 / 0 of underflowing phi; the divisor is used only where a > b
+        ratio = bb / np.where(aa > bb, aa, 1.0)
+        out = np.where(bb >= aa, 1.0, g.invert(g.apply(ratio)))
         return np.clip(out, 0.0, 1.0)
 
     def spec_string(self) -> str:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     BadTriplet,
+    DuplicateValue,
     DuplicateVariable,
     EmptyFrame,
     OutOfRange,
@@ -31,6 +32,12 @@ from .errors import (
 #: arithmetic on grid-valued tables is exact; the slack only absorbs
 #: rounding from the product family and from non-identity generators.
 EPS = 1e-9
+
+
+def check_eps(eps: float) -> None:
+    """Raise ValueError unless `eps` is a finite tolerance >= 0."""
+    if not (np.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"eps must be a finite number >= 0, got {eps}")
 
 
 def _as_names(names) -> tuple[str, ...]:
@@ -52,7 +59,7 @@ class Space:
             if not values:
                 raise EmptyFrame(f"variable {name!r} has an empty frame")
             if len(set(values)) != len(values):
-                raise ValueError(f"variable {name!r} repeats a frame value")
+                raise DuplicateValue(f"variable {name!r} repeats a frame value")
             names.append(name)
             frames[name] = values
         self._names = tuple(names)
@@ -141,8 +148,9 @@ def build_space(variables: Iterable[tuple[str, Iterable[str]]]) -> Space:
 class Distribution:
     """Dense table of possibility degrees over the joint frames of a scope.
 
-    `normalised` is true when some entry equals 1 exactly.  Marginals are
-    memoised per instance; this is safe because tables are read-only.
+    `normalised` is true when some entry equals 1 exactly.  Marginals and
+    conditionals are memoised per instance; every entry is a pure function
+    of the read-only table, so a race can only recompute an entry.
     """
 
     def __init__(self, space: Space, scope, table):
@@ -160,24 +168,32 @@ class Distribution:
         self.scope = scope
         self.table = arr
         self.normalised = bool(arr.max() == 1.0)
-        self._marginals: dict[tuple[str, ...], Distribution] = {}
-        self._conditionals: dict = {}
+        self._lattice: dict[int, np.ndarray] = {(1 << len(scope)) - 1: arr}
+        self._conditional_memo: dict = {}  # conj -> {(x_mask, given_mask): table}
+
+    def _mask(self, names) -> int:
+        """Bitmask over the scope of variables known to lie in it."""
+        return sum(1 << self.scope.index(n) for n in names)
+
+    def _marginal(self, mask: int) -> np.ndarray:
+        """Lattice entry: the keepdims max-marginal onto `mask` (bit i is
+        scope[i]), taken from a one-larger superset."""
+        out = self._lattice.get(mask)
+        if out is None:
+            missing = [i for i in range(len(self.scope)) if not mask >> i & 1]
+            # reduce one axis of a cached one-larger superset if there is one
+            axis = next((i for i in missing if mask | 1 << i in self._lattice), missing[0])
+            superset = self._marginal(mask | 1 << axis)
+            out = self._lattice[mask] = superset.max(axis=axis, keepdims=True)
+        return out
 
     def marginalize(self, keep) -> "Distribution":
         """Max-project onto `keep`; keep must be a subset of the scope."""
         keep = self.space.subset(keep)
         if not set(keep) <= set(self.scope):
             raise ScopeMismatch(f"{keep} is not a subset of scope {self.scope}")
-        cached = self._marginals.get(keep)
-        if cached is not None:
-            return cached
-        if keep == self.scope:
-            out = self
-        else:
-            drop = tuple(i for i, n in enumerate(self.scope) if n not in set(keep))
-            out = Distribution(self.space, keep, self.table.max(axis=drop))
-        self._marginals[keep] = out
-        return out
+        table = self._marginal(self._mask(keep)).reshape(self.space.shape(keep))
+        return Distribution(self.space, keep, table)
 
     def extend(self, to) -> "Distribution":
         """Cylindrical extension: lift onto a superset scope, ignoring added variables."""

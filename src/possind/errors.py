@@ -9,6 +9,10 @@ class DuplicateVariable(PossindError):
     """A variable name occurs more than once in a space."""
 
 
+class DuplicateValue(PossindError, ValueError):
+    """A frame lists the same value more than once."""
+
+
 class EmptyFrame(PossindError):
     """A variable was declared with no admissible values."""
 

@@ -30,11 +30,11 @@ from .core import (  # noqa: F401  (IndependenceRelation and enumerate_triplets
     Space,
     Triplet,
     build_space,
+    check_eps,
     enumerate_triplets,
     triplet_count,
 )
-from .errors import TooLarge
-from .independence import RELATION_GUARD, RelationKind, enumerate_relation
+from .independence import RelationKind, _check_relation_guard, enumerate_relation
 from .serialize import reproducer_document
 
 import numpy as np
@@ -72,10 +72,6 @@ class AxiomReport:
         return tuple(name for name, ok in self.verdicts.items() if not ok)
 
 
-def _sorted_members(rel: IndependenceRelation) -> tuple[Triplet, ...]:
-    return rel.sorted_members
-
-
 def _splits(names: frozenset) -> Iterator[tuple[frozenset, frozenset]]:
     """(kept, moved) pairs with kept nonempty; moved may be empty."""
     ordered = sorted(names)
@@ -87,7 +83,7 @@ def _splits(names: frozenset) -> Iterator[tuple[frozenset, frozenset]]:
 
 def _symmetry(rel) -> list[Counterexample]:
     out = []
-    for t in _sorted_members(rel):
+    for t in rel.sorted_members:
         flipped = Triplet(t.b, t.a, t.c)
         if flipped not in rel.members:
             out.append(Counterexample("symmetry", (t,), flipped))
@@ -96,7 +92,7 @@ def _symmetry(rel) -> list[Counterexample]:
 
 def _decomposition(rel) -> list[Counterexample]:
     out = []
-    for t in _sorted_members(rel):
+    for t in rel.sorted_members:
         for kept, _ in _splits(t.b):
             conclusion = Triplet(t.a, kept, t.c)
             if conclusion not in rel.members:
@@ -106,7 +102,7 @@ def _decomposition(rel) -> list[Counterexample]:
 
 def _weak_union(rel) -> list[Counterexample]:
     out = []
-    for t in _sorted_members(rel):
+    for t in rel.sorted_members:
         for kept, moved in _splits(t.b):
             conclusion = Triplet(t.a, kept, t.c | moved)
             if conclusion not in rel.members:
@@ -116,7 +112,7 @@ def _weak_union(rel) -> list[Counterexample]:
 
 def _contraction(rel) -> list[Counterexample]:
     out = []
-    members = _sorted_members(rel)
+    members = rel.sorted_members
     for t1 in members:  # (a, b, d)
         want = t1.b | t1.c
         for t2 in members:  # (a, c, b | d)
@@ -130,7 +126,7 @@ def _contraction(rel) -> list[Counterexample]:
 
 def _intersection(rel) -> list[Counterexample]:
     out = []
-    members = _sorted_members(rel)
+    members = rel.sorted_members
     for t1 in members:  # (a, b, c | d)
         for t2 in members:  # (a, c, b | d)
             if t2.a != t1.a or not t2.b <= t1.c:
@@ -155,12 +151,9 @@ _AXIOM_CHECKS = {
 
 def check_axiom(rel: IndependenceRelation, axiom: str) -> AxiomReport:
     """Check one axiom exhaustively over the relation's members."""
-    try:
-        fn = _AXIOM_CHECKS[axiom]
-    except KeyError:
-        raise ValueError(f"unknown axiom {axiom!r}, expected one of {AXIOMS}") from None
-    cx = fn(rel)
-    return AxiomReport({axiom: not cx}, tuple(cx))
+    if axiom not in _AXIOM_CHECKS:
+        raise ValueError(f"unknown axiom {axiom!r}, expected one of {AXIOMS}")
+    return _check_axioms(rel, (axiom,))
 
 
 def _check_axioms(rel, axioms) -> AxiomReport:
@@ -289,11 +282,8 @@ def fuzz_properties(config: FuzzConfig) -> FuzzReport:
     intersection gaps are mined.  The first violation aborts the run,
     serializing the offending distribution as a reproducer.
     """
-    if triplet_count(config.variables) > RELATION_GUARD:
-        raise TooLarge(
-            f"{triplet_count(config.variables)} candidate triplets exceed the "
-            f"guard of {RELATION_GUARD}"
-        )
+    check_eps(config.eps)
+    _check_relation_guard(config.variables)
     space = _fuzz_space(config)
     failures: list[FuzzFailure] = []
     mined: list[MinedCounterexample] = []

@@ -6,8 +6,8 @@ relation requires that conditioning `a` on `b | c` gives the same result
 as conditioning on `c` alone, and symmetrically; membership in the
 no-interactivity relation requires that the joint conditional factorize
 through the conjunction.  Both equalities are evaluated pointwise on the
-joint frame of all three parts, after cylindrical extension, within a
-tolerance.
+joint frame of all three parts, broadcasting keepdims marginals from the
+distribution's lattice, within a tolerance.
 
 The characterize_* functions are closed-form criteria specific to each
 conjunction family.  They are implemented straight from the marginals,
@@ -30,12 +30,19 @@ from .core import (
     Space,
     Triplet,
     _triplets_over,
+    check_eps,
     triplet_count,
 )
-from .errors import BadTriplet, NotNormalised, ScopeMismatch, TooLarge
+from .errors import BadTriplet, NotNormalised, OutOfRange, ScopeMismatch, TooLarge
 
 #: Enumeration refuses spaces with more candidate triplets than this.
 RELATION_GUARD = 100_000
+
+
+def _check_relation_guard(n_variables: int) -> None:
+    if triplet_count(n_variables) > RELATION_GUARD:
+        raise TooLarge(f"{triplet_count(n_variables)} candidate triplets exceed the "
+                       f"guard of {RELATION_GUARD}")
 
 
 class RelationKind(str, Enum):
@@ -63,6 +70,18 @@ class MembershipEvidence:
         return self.verdict
 
 
+def _conditional(dist: Distribution, conj: Conjunction, x: int, given: int) -> np.ndarray:
+    """Keepdims residuum(lattice[given], lattice[x | given]), memoised per conjunction."""
+    memo = dist._conditional_memo.setdefault(conj, {})
+    out = memo.get((x, given))
+    if out is None:
+        out = conj.residuum(dist._marginal(given), dist._marginal(x | given))
+        if not np.all((out >= 0.0) & (out <= 1.0)):
+            raise OutOfRange("conditional degrees must lie in [0, 1]")
+        memo[(x, given)] = out
+    return out
+
+
 def condition(dist: Distribution, a, b, conj: Conjunction) -> Distribution:
     """The distribution of `a` conditional on `b`, scoped to their union.
 
@@ -72,31 +91,18 @@ def condition(dist: Distribution, a, b, conj: Conjunction) -> Distribution:
     """
     if not dist.normalised:
         raise NotNormalised("conditioning needs a normalised distribution")
-    a = dist.space.subset(a)
-    b = dist.space.subset(b)
+    a, b = dist.space.subset(a), dist.space.subset(b)
     if set(a) & set(b):
         raise ScopeMismatch("target and conditioning sets overlap")
-    in_scope = set(dist.scope)
-    if not (set(a) <= in_scope and set(b) <= in_scope):
+    if not set(a + b) <= set(dist.scope):
         raise ScopeMismatch("conditioning sets must lie inside the distribution scope")
-    key = (a, b, conj)
-    try:
-        cached = dist._conditionals.get(key)
-    except TypeError:  # unhashable custom conjunction
-        key = None
-        cached = None
-    if cached is not None:
-        return cached
     union = dist.space.subset(set(a) | set(b))
-    joint = dist.marginalize(union)
-    given = dist.marginalize(b).extend(union)
-    out = Distribution(dist.space, union, conj.residuum(given.table, joint.table))
-    if key is not None:
-        dist._conditionals[key] = out
-    return out
+    table = _conditional(dist, conj, dist._mask(a), dist._mask(b))
+    return Distribution(dist.space, union, np.reshape(table, dist.space.shape(union)))
 
 
-def _validate_membership(dist: Distribution, t: Triplet) -> None:
+def _validate_membership(dist: Distribution, t: Triplet, eps) -> None:
+    check_eps(eps)
     t.validate(dist.space)
     if not (t.a | t.b | t.c) <= set(dist.scope):
         raise BadTriplet("triplet names variables outside the distribution scope")
@@ -104,50 +110,36 @@ def _validate_membership(dist: Distribution, t: Triplet) -> None:
         raise NotNormalised("membership tests need a normalised distribution")
 
 
-def _full_scope(dist: Distribution, t: Triplet) -> tuple[str, ...]:
-    return dist.space.subset(t.a | t.b | t.c)
+def _masks(dist: Distribution, t: Triplet) -> tuple[int, int, int]:
+    return dist._mask(t.a), dist._mask(t.b), dist._mask(t.c)
 
 
-def _membership_sides(dist, t, conj, kind):
-    """Yield (lhs, rhs) table pairs whose pointwise equality defines membership."""
-    full = _full_scope(dist, t)
+def _membership_sides(dist, conj, kind, a, b, c):
+    """Yield (lhs, rhs) keepdims table pairs whose pointwise equality defines
+    membership of the triplet with masks (a, b, c).  Each lhs spans a|b|c."""
     if kind is RelationKind.INDEPENDENCE:
-        for x, y in ((t.a, t.b), (t.b, t.a)):
-            lhs = condition(dist, x, y | t.c, conj).extend(full).table
-            rhs = condition(dist, x, t.c, conj).extend(full).table
-            yield lhs, rhs
+        for x, y in ((a, b), (b, a)):
+            yield _conditional(dist, conj, x, y | c), _conditional(dist, conj, x, c)
     else:
-        lhs = condition(dist, t.a | t.b, t.c, conj).extend(full).table
-        ca = condition(dist, t.a, t.c, conj).extend(full).table
-        cb = condition(dist, t.b, t.c, conj).extend(full).table
-        yield lhs, conj.conjoin(ca, cb)
-
-
-def _witnesses(space: Space, scope, lhs, rhs, eps) -> list[Witness]:
-    out = []
-    for idx in np.argwhere(np.abs(lhs - rhs) > eps):
-        idx = tuple(int(i) for i in idx)
-        out.append(
-            Witness(space.assignment_at(scope, idx), float(lhs[idx]), float(rhs[idx]))
-        )
-    return out
+        ca = _conditional(dist, conj, a, c)
+        cb = _conditional(dist, conj, b, c)
+        yield _conditional(dist, conj, a | b, c), conj.conjoin(ca, cb)
 
 
 def _membership(dist, t, conj, kind, eps) -> MembershipEvidence:
-    _validate_membership(dist, t)
-    full = _full_scope(dist, t)
+    _validate_membership(dist, t, eps)
+    a, b, c = _masks(dist, t)
+    full = dist.space.subset(t.a | t.b | t.c)
+    shape = dist.space.shape(full)
     witnesses: list[Witness] = []
-    for lhs, rhs in _membership_sides(dist, t, conj, kind):
-        witnesses.extend(_witnesses(dist.space, full, lhs, rhs, eps))
+    for lhs, rhs in _membership_sides(dist, conj, kind, a, b, c):
+        # lhs spans a|b|c: broadcast rhs onto it, squeeze the axes outside
+        lhs, rhs = (side.reshape(shape) for side in np.broadcast_arrays(lhs, rhs))
+        witnesses.extend(
+            Witness(dist.space.assignment_at(full, idx), float(lhs[idx]), float(rhs[idx]))
+            for idx in map(tuple, np.argwhere(np.abs(lhs - rhs) > eps).tolist())
+        )
     return MembershipEvidence(not witnesses, tuple(witnesses))
-
-
-def _membership_holds(dist, t, conj, kind, eps) -> bool:
-    # fast path for bulk enumeration: no witness construction, early exit
-    for lhs, rhs in _membership_sides(dist, t, conj, kind):
-        if np.max(np.abs(lhs - rhs)) > eps:
-            return False
-    return True
 
 
 def in_independence(dist, t, conj, eps: float = EPS) -> MembershipEvidence:
@@ -160,11 +152,12 @@ def in_noninteractivity(dist, t, conj, eps: float = EPS) -> MembershipEvidence:
     return _membership(dist, t, conj, RelationKind.NON_INTERACTIVITY, eps)
 
 
-def _marginal_tables(dist, t):
-    """Extended marginal tables (abc, c, ac, bc) on the joint frame of the triplet."""
-    full = _full_scope(dist, t)
-    get = lambda names: dist.marginalize(dist.space.subset(names)).extend(full).table
-    return get(t.a | t.b | t.c), get(t.c), get(t.a | t.c), get(t.b | t.c)
+def _marginal_tables(dist, t, eps):
+    """Validated keepdims marginal tables (abc, c, ac, bc); they broadcast
+    onto the joint frame of the triplet."""
+    _validate_membership(dist, t, eps)
+    a, b, c = _masks(dist, t)
+    return tuple(dist._marginal(m) for m in (a | b | c, c, a | c, b | c))
 
 
 def characterize_luka(dist, t, generator: Generator = IDENTITY, eps: float = EPS) -> bool:
@@ -173,8 +166,7 @@ def characterize_luka(dist, t, generator: Generator = IDENTITY, eps: float = EPS
     True iff phi(joint) + phi(c-marginal) equals phi(ac-marginal) +
     phi(bc-marginal) pointwise.
     """
-    _validate_membership(dist, t)
-    abc, c, ac, bc = _marginal_tables(dist, t)
+    abc, c, ac, bc = _marginal_tables(dist, t, eps)
     g = generator.apply
     diff = (g(abc) + g(c)) - (g(ac) + g(bc))
     return bool(np.max(np.abs(diff)) <= eps)
@@ -190,8 +182,7 @@ def characterize_luka_ni(dist, t, generator: Generator = IDENTITY, eps: float = 
     so equals the impossible joint conditional; there no-interactivity
     holds although independence does not.
     """
-    _validate_membership(dist, t)
-    abc, c, ac, bc = (generator.apply(m) for m in _marginal_tables(dist, t))
+    abc, c, ac, bc = (generator.apply(m) for m in _marginal_tables(dist, t, eps))
     additive = np.abs((abc + c) - (ac + bc)) <= eps
     clamp = (c >= 1.0 - eps) & (abc <= eps) & (ac + bc <= 1.0 + eps)
     return bool(np.all(additive | clamp))
@@ -199,8 +190,7 @@ def characterize_luka_ni(dist, t, generator: Generator = IDENTITY, eps: float = 
 
 def characterize_product_ni(dist, t, generator: Generator = IDENTITY, eps: float = EPS) -> bool:
     """Multiplicative criterion for product-like no-interactivity."""
-    _validate_membership(dist, t)
-    abc, c, ac, bc = _marginal_tables(dist, t)
+    abc, c, ac, bc = _marginal_tables(dist, t, eps)
     g = generator.apply
     diff = g(abc) * g(c) - g(ac) * g(bc)
     return bool(np.max(np.abs(diff)) <= eps)
@@ -209,13 +199,8 @@ def characterize_product_ni(dist, t, generator: Generator = IDENTITY, eps: float
 def _zero_pattern_clause(dist, a, b, c, eps) -> bool:
     """Zero-slice condition: wherever the c-marginal is positive and some
     b-completion is impossible, the ac-marginal must equal the c-marginal."""
-    space = dist.space
-    full = space.subset(set(a) | set(b) | set(c))
-    get = lambda names: dist.marginalize(space.subset(names)).extend(full).table
-    m_c = get(c)
-    m_ac = get(set(a) | set(c))
-    m_bc = get(set(b) | set(c))
-    reduce_axes = space.axes(full, set(a) | set(b))
+    m_c, m_ac, m_bc = (dist._marginal(m) for m in (c, a | c, b | c))
+    reduce_axes = tuple(i for i in range(len(dist.scope)) if (a | b) >> i & 1)
     some_b_zero = np.any(m_bc <= eps, axis=reduce_axes, keepdims=True)
     bad = (m_c > eps) & some_b_zero & (np.abs(m_ac - m_c) > eps)
     return not bool(np.any(bad))
@@ -226,23 +211,22 @@ def characterize_product_i(dist, t, generator: Generator = IDENTITY, eps: float 
     zero-pattern clauses (one per direction)."""
     if not characterize_product_ni(dist, t, generator, eps):
         return False
-    return _zero_pattern_clause(dist, t.a, t.b, t.c, eps) and _zero_pattern_clause(
-        dist, t.b, t.a, t.c, eps
+    a, b, c = _masks(dist, t)
+    return _zero_pattern_clause(dist, a, b, c, eps) and _zero_pattern_clause(
+        dist, b, a, c, eps
     )
 
 
 def characterize_min_ni(dist, t, eps: float = EPS) -> bool:
     """Min no-interactivity: the joint equals the minimum of the pair marginals."""
-    _validate_membership(dist, t)
-    abc, _, ac, bc = _marginal_tables(dist, t)
+    abc, _, ac, bc = _marginal_tables(dist, t, eps)
     return bool(np.max(np.abs(abc - np.minimum(ac, bc))) <= eps)
 
 
 def characterize_min_i(dist, t, eps: float = EPS) -> bool:
     """Min independence: the min factorization plus the max identity
     (the c-marginal equals the maximum of the pair marginals)."""
-    _validate_membership(dist, t)
-    abc, c, ac, bc = _marginal_tables(dist, t)
+    abc, c, ac, bc = _marginal_tables(dist, t, eps)
     ok_min = np.max(np.abs(abc - np.minimum(ac, bc))) <= eps
     ok_max = np.max(np.abs(c - np.maximum(ac, bc))) <= eps
     return bool(ok_min and ok_max)
@@ -312,13 +296,13 @@ def enumerate_relation(
     if not dist.normalised:
         raise NotNormalised("relation enumeration needs a normalised distribution")
     names = dist.scope
-    if triplet_count(len(names)) > RELATION_GUARD:
-        raise TooLarge(
-            f"{triplet_count(len(names))} candidate triplets exceed the "
-            f"guard of {RELATION_GUARD}"
-        )
+    _check_relation_guard(len(names))
+    check_eps(eps)
     kind = RelationKind(kind)
+    # all() stops at the first failing side, before the next side is built
     members = frozenset(
-        t for t in _triplets_over(names) if _membership_holds(dist, t, conj, kind, eps)
+        t for t in _triplets_over(names)
+        if all(not np.max(np.abs(lhs - rhs)) > eps
+               for lhs, rhs in _membership_sides(dist, conj, kind, *_masks(dist, t)))
     )
     return IndependenceRelation(dist.space, members)

@@ -233,6 +233,22 @@ class TestErrorsAndDeterminism:
         path.write_text('{"variables": "nope"}')
         assert main(["marginalize", "--dist", str(path), "--keep", "X1"]) == 2
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    def test_bad_eps_exits_two(self, one_sided_file, eps, capsys):
+        verbs = [
+            ["independent", "--dist", one_sided_file, "--a", "X1", "--b", "X2",
+             "--conj", "min", "--relation", "independence"],
+            ["enumerate", "--dist", one_sided_file, "--conj", "min",
+             "--relation", "independence"],
+            ["axioms", "--dist", one_sided_file, "--conj", "min",
+             "--relation", "independence", "--level", "graphoid"],
+            ["fuzz", "--trials", "1"],
+            ["examples"],
+        ]
+        for argv in verbs:
+            assert main(argv + ["--eps", eps]) == 2
+            assert "eps must be a finite number >= 0" in capsys.readouterr().err
+
     def test_reports_are_deterministic_modulo_timing(self, one_sided_file, tmp_path, capsys):
         paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
         for path in paths:

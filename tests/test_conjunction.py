@@ -162,6 +162,27 @@ class TestResiduum:
                     assert 0.0 <= conj.residuum(a, b) <= 1.0
 
 
+    @pytest.mark.parametrize("conj", FAMILIES, ids=str)
+    def test_operands_broadcast_against_each_other(self, conj):
+        a = np.array([[0.5], [0.2]])
+        b = np.array([[0.1, 0.3]])
+        got = conj.residuum(a, b)
+        assert got.shape == (2, 2)
+        for i in range(2):
+            for j in range(2):
+                oracle = residuum_oracle(conj, a[i, 0], b[0, j])
+                assert got[i, j] == pytest.approx(oracle, abs=1e-4)
+
+    @pytest.mark.parametrize("power", [0.5, 1.0, 2.0, 3.0])
+    def test_product_residuum_survives_underflow(self, power):
+        # phi(1e-200) ** 2 underflows to 0; the residuum of the product
+        # family depends only on b / a, so it equals the oracle at (0.5, 0.05)
+        conj = ProductLike(Generator(power))
+        got = conj.residuum(1e-200, 1e-201)
+        assert got == pytest.approx(0.1, abs=1e-12)
+        assert got == pytest.approx(residuum_oracle(conj, 0.5, 0.05), abs=1e-4)
+
+
 class TestResiduumOracle:
     def test_saturating_cases(self):
         for conj in FAMILIES:

@@ -21,6 +21,7 @@ from possind import (
     possibility_measure,
     triplet_count,
 )
+from possind.errors import DuplicateValue, PossindError
 
 from conftest import SPACE3, brute_marginal, distributions3
 
@@ -44,6 +45,11 @@ class TestSpace:
     def test_repeated_frame_value_rejected(self):
         with pytest.raises(ValueError):
             build_space([("X1", ["a", "a"])])
+
+    def test_repeated_frame_value_is_a_possind_error(self):
+        with pytest.raises(DuplicateValue) as info:
+            build_space([("X1", ["a", "b", "a"])])
+        assert isinstance(info.value, PossindError)
 
     def test_assignments_enumerate_last_variable_fastest(self):
         space = build_space([("A", ["0", "1"]), ("B", ["x", "y"])])

@@ -216,6 +216,11 @@ class TestFuzz:
         with pytest.raises(TooLarge):
             fuzz_properties(FuzzConfig(trials=1, variables=9))
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+    def test_bad_eps_rejected(self, eps):
+        with pytest.raises(ValueError):
+            fuzz_properties(FuzzConfig(trials=0, eps=eps))
+
     def test_four_variable_run(self):
         config = FuzzConfig(
             trials=3, variables=4, seed=5, conjunctions=(Min(),)

@@ -31,6 +31,7 @@ from possind import (
     in_independence,
     in_noninteractivity,
     make_distribution,
+    parse_conjunction,
 )
 
 from conftest import SPACE3, distributions3, triplets3
@@ -104,6 +105,25 @@ class TestCondition:
         marginal = one_sided.marginalize(("X1", "X2"))
         with pytest.raises(ScopeMismatch):
             condition(marginal, "X1", "X3", MIN)
+
+    def test_product_power_two_survives_underflowing_degrees(self):
+        # phi(1e-200) and phi(1e-201) underflow to 0 under pow=2; the
+        # conditional must still be the quotient, not 0 / 0
+        space = build_space([("X1", ["0", "1"]), ("X2", ["0", "1"])])
+        dist = Distribution(space, space.names, [[1.0, 1e-201], [1e-200, 1e-201]])
+        cond = condition(dist, "X2", "X1", ProductLike(Generator(2.0)))
+        assert cond.at({"X1": "1", "X2": "0"}) == 1.0
+        assert cond.at({"X1": "1", "X2": "1"}) == pytest.approx(0.1, abs=1e-12)
+        assert cond.at({"X1": "0", "X2": "1"}) <= 1e-200
+
+    def test_every_family_on_a_shared_distribution_matches_a_fresh_one(self, one_sided):
+        for conj in ALL_FAMILIES:
+            shared = condition(one_sided, "X1", ("X2", "X3"), conj)
+            fresh = condition(
+                Distribution(one_sided.space, one_sided.scope, one_sided.table),
+                "X1", ("X2", "X3"), conj,
+            )
+            assert np.array_equal(shared.table, fresh.table)
 
     @settings(max_examples=50, deadline=None)
     @given(dist=distributions3(), conj=st.sampled_from(ALL_FAMILIES))
@@ -403,3 +423,83 @@ class TestEnumerateRelation:
         )
         with pytest.raises(NotNormalised):
             enumerate_relation(half, MIN, RelationKind.INDEPENDENCE)
+
+
+ROUTE_FAMILIES = tuple(
+    parse_conjunction(spec) for spec in ("min", "luka", "luka:pow=2", "prod", "prod:pow=2")
+)
+
+
+def seeded_tables():
+    """Grid-valued 3- and 4-variable tables, each with zeros and a 1."""
+    out = []
+    for n, seeds in ((3, range(6)), (4, range(3))):
+        space = build_space([(f"X{i + 1}", ("0", "1")) for i in range(n)])
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            table = rng.integers(0, 11, size=(2,) * n) / 10
+            table.flat[rng.choice(table.size, size=2, replace=False)] = 0.0
+            table.flat[rng.integers(0, table.size)] = 1.0
+            out.append((space, table))
+    return out
+
+
+def evidence_record(dist, t, conj):
+    return [
+        (ev.verdict, [(w.assignment, w.left, w.right) for w in ev.witnesses])
+        for ev in (in_independence(dist, t, conj), in_noninteractivity(dist, t, conj))
+    ]
+
+
+class TestRoutesAgree:
+    """Enumeration and the witness-building tests share one memo of
+    conditionals per distribution; neither may change a verdict."""
+
+    @pytest.mark.parametrize("kind", list(RelationKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("conj", ROUTE_FAMILIES, ids=str)
+    def test_enumeration_equals_membership_tests(self, conj, kind):
+        test = in_independence if kind is RelationKind.INDEPENDENCE else in_noninteractivity
+        for space, table in seeded_tables():
+            dist = Distribution(space, space.names, table)
+            members = enumerate_relation(dist, conj, kind).members
+            fresh = Distribution(space, space.names, table)
+            expected = {t for t in enumerate_triplets(space) if test(fresh, t, conj).verdict}
+            assert members == expected
+
+    def test_memo_does_not_leak_between_conjunctions(self):
+        for space, table in seeded_tables():
+            shared = Distribution(space, space.names, table)
+            for t in enumerate_triplets(space):
+                for conj in ROUTE_FAMILIES:
+                    fresh = Distribution(space, space.names, table)
+                    assert evidence_record(shared, t, conj) == evidence_record(fresh, t, conj)
+
+
+class TestEpsValidation:
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+    def test_membership_and_enumeration_reject_bad_eps(self, eps):
+        # at eps = nan this dependent pair used to pass as independent
+        space = build_space([("X1", "01"), ("X2", "01")])
+        dist = Distribution(space, space.names, [[1.0, 0.3], [0.5, 0.2]])
+        t = Triplet.of("X1", "X2", ())
+        assert not in_independence(dist, t, MIN).verdict
+        for test in (in_independence, in_noninteractivity):
+            with pytest.raises(ValueError):
+                test(dist, t, MIN, eps)
+        with pytest.raises(ValueError):
+            enumerate_relation(dist, MIN, RelationKind.INDEPENDENCE, eps)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+    def test_characterizations_reject_bad_eps(self, eps, one_sided):
+        t = Triplet.of("X1", "X2", "X3")
+        for fn in (characterize_luka, characterize_luka_ni,
+                   characterize_product_i, characterize_product_ni):
+            with pytest.raises(ValueError):
+                fn(one_sided, t, eps=eps)
+        for fn in (characterize_min_i, characterize_min_ni):
+            with pytest.raises(ValueError):
+                fn(one_sided, t, eps)
+
+    def test_zero_eps_is_accepted(self):
+        assert in_independence(uniform3(), Triplet.of("X1", "X2", "X3"), MIN, 0.0).verdict
+
