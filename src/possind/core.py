@@ -12,6 +12,7 @@ and every operation is a pure function of its inputs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -25,6 +26,7 @@ from .errors import (
     OutOfRange,
     ScopeMismatch,
     SpaceMismatch,
+    TooLarge,
     TooSmall,
 )
 
@@ -33,11 +35,19 @@ from .errors import (
 #: rounding from the product family and from non-identity generators.
 EPS = 1e-9
 
+#: Dense tables refuse more cells than this (80 MB of float64 degrees).
+TABLE_GUARD = 10**7
+
 
 def check_eps(eps: float) -> None:
     """Raise ValueError unless `eps` is a finite tolerance >= 0."""
     if not (np.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be a finite number >= 0, got {eps}")
+
+
+def masks(order: tuple[str, ...], *parts) -> tuple[int, ...]:
+    """Bitmask of each part over `order`, bit i standing for order[i]."""
+    return tuple(sum(1 << order.index(n) for n in part) for part in parts)
 
 
 def _as_names(names) -> tuple[str, ...]:
@@ -91,7 +101,11 @@ class Space:
         return tuple(n for n in self._names if n in wanted)
 
     def shape(self, scope) -> tuple[int, ...]:
-        return tuple(len(self._frames[n]) for n in scope)
+        """Dense table shape over `scope`; TooLarge past TABLE_GUARD cells."""
+        shape = tuple(len(self._frames[n]) for n in scope)
+        if math.prod(shape) > TABLE_GUARD:
+            raise TooLarge(f"{math.prod(shape)} table cells exceed the guard of {TABLE_GUARD}")
+        return shape
 
     def axes(self, scope, names) -> tuple[int, ...]:
         """Positions within `scope` of the variables in `names`."""
@@ -171,10 +185,6 @@ class Distribution:
         self._lattice: dict[int, np.ndarray] = {(1 << len(scope)) - 1: arr}
         self._conditional_memo: dict = {}  # conj -> {(x_mask, given_mask): table}
 
-    def _mask(self, names) -> int:
-        """Bitmask over the scope of variables known to lie in it."""
-        return sum(1 << self.scope.index(n) for n in names)
-
     def _marginal(self, mask: int) -> np.ndarray:
         """Lattice entry: the keepdims max-marginal onto `mask` (bit i is
         scope[i]), taken from a one-larger superset."""
@@ -192,7 +202,7 @@ class Distribution:
         keep = self.space.subset(keep)
         if not set(keep) <= set(self.scope):
             raise ScopeMismatch(f"{keep} is not a subset of scope {self.scope}")
-        table = self._marginal(self._mask(keep)).reshape(self.space.shape(keep))
+        table = self._marginal(*masks(self.scope, keep)).reshape(self.space.shape(keep))
         return Distribution(self.space, keep, table)
 
     def extend(self, to) -> "Distribution":
@@ -209,6 +219,7 @@ class Distribution:
 
     def equal_within(self, other: "Distribution", eps: float = EPS) -> bool:
         """Pointwise equality within eps, compared on the union of scopes."""
+        check_eps(eps)
         if not isinstance(other, Distribution) or self.space != other.space:
             raise SpaceMismatch("distributions live on different spaces")
         union = self.space.subset(set(self.scope) | set(other.scope))
@@ -277,6 +288,11 @@ class Triplet:
         if self.a & self.b or self.a & self.c or self.b & self.c:
             raise BadTriplet("triplet parts must be pairwise disjoint")
 
+    @classmethod
+    def from_masks(cls, order: tuple[str, ...], a: int, b: int, c: int) -> "Triplet":
+        """The triplet whose parts are the names of `order` that each mask selects."""
+        return cls(*(frozenset(n for i, n in enumerate(order) if m >> i & 1) for m in (a, b, c)))
+
     @property
     def sort_key(self):
         return (tuple(sorted(self.a)), tuple(sorted(self.b)), tuple(sorted(self.c)))
@@ -316,19 +332,19 @@ def triplet_count(n_variables: int) -> int:
     return 4**n - 2 * 3**n + 2**n
 
 
-def _triplets_over(names: tuple[str, ...]) -> Iterator[Triplet]:
-    # bucket 0 = unused, 1 -> a, 2 -> b, 3 -> c
-    for buckets in itertools.product((0, 1, 2, 3), repeat=len(names)):
-        a = frozenset(n for n, k in zip(names, buckets) if k == 1)
-        b = frozenset(n for n, k in zip(names, buckets) if k == 2)
-        if not a or not b:
-            continue
-        c = frozenset(n for n, k in zip(names, buckets) if k == 3)
-        yield Triplet(a, b, c)
+def candidate_masks(n_variables: int) -> list[tuple[int, int, int]]:
+    """(a, b, c) bitmasks of the candidate triplets: variable i puts bit i in
+    no part, a, b or c, the first variable slowest; a and b are nonempty."""
+    walk = [(0, 0, 0)]
+    for i in range(n_variables):
+        bit = 1 << i
+        walk = [m for a, b, c in walk
+                for m in ((a, b, c), (a | bit, b, c), (a, b | bit, c), (a, b, c | bit))]
+    return [(a, b, c) for a, b, c in walk if a and b]
 
 
 def enumerate_triplets(space: Space) -> list[Triplet]:
     """All ordered disjoint triplets (a, b, c) with a, b nonempty over the space."""
     if len(space) < 2:
         raise TooSmall("triplet enumeration needs at least two variables")
-    return list(_triplets_over(space.names))
+    return [Triplet.from_masks(space.names, *m) for m in candidate_masks(len(space))]

@@ -4,11 +4,14 @@ The five axioms (symmetry, decomposition, weak union, contraction,
 intersection) are checked purely set-theoretically: every premise pattern
 is instantiated exhaustively over the relation's members and each
 instance whose conclusion triplet is absent becomes a counterexample.  A
-semigraphoid satisfies the first four, a graphoid all five.
+semigraphoid satisfies the first four, a graphoid all five.  Members are
+encoded once as bitmasks over the sorted names, and second premises are
+found by lookup: contraction by (a, c), intersection per submask of c.
 
 The fuzzer draws random grid-valued distributions, induces independence
 and no-interactivity relations under the configured conjunctions, and
-checks the axiom level each relation is claimed to satisfy.  Violations
+checks the axiom level each relation is claimed to satisfy, and that
+Lukasiewicz-like independence lies inside no-interactivity.  Violations
 of a claimed property abort the run with a serialized reproducer;
 intersection gaps of no-interactivity under min and product conjunctions
 are expected and are collected as mined counterexamples instead.
@@ -32,6 +35,7 @@ from .core import (  # noqa: F401  (IndependenceRelation and enumerate_triplets
     build_space,
     check_eps,
     enumerate_triplets,
+    masks,
     triplet_count,
 )
 from .independence import RelationKind, _check_relation_guard, enumerate_relation
@@ -72,74 +76,48 @@ class AxiomReport:
         return tuple(name for name, ok in self.verdicts.items() if not ok)
 
 
-def _splits(names: frozenset) -> Iterator[tuple[frozenset, frozenset]]:
-    """(kept, moved) pairs with kept nonempty; moved may be empty."""
-    ordered = sorted(names)
-    for r in range(1, len(ordered) + 1):
-        for combo in itertools.combinations(ordered, r):
-            kept = frozenset(combo)
-            yield kept, names - kept
+def _submasks(m: int) -> Iterator[int]:
+    """Nonempty submasks of `m`, fewest bits first, then by bit positions."""
+    bits = [1 << i for i in range(m.bit_length()) if m >> i & 1]
+    return (sum(k) for r in range(1, len(bits) + 1) for k in itertools.combinations(bits, r))
 
 
-def _symmetry(rel) -> list[Counterexample]:
-    out = []
-    for t in rel.sorted_members:
-        flipped = Triplet(t.b, t.a, t.c)
-        if flipped not in rel.members:
-            out.append(Counterexample("symmetry", (t,), flipped))
-    return out
+def _symmetry(members, rank):
+    for a, b, c in members:
+        yield (b, a, c), (a, b, c)
 
 
-def _decomposition(rel) -> list[Counterexample]:
-    out = []
-    for t in rel.sorted_members:
-        for kept, _ in _splits(t.b):
-            conclusion = Triplet(t.a, kept, t.c)
-            if conclusion not in rel.members:
-                out.append(Counterexample("decomposition", (t,), conclusion))
-    return out
+def _decomposition(members, rank):
+    for a, b, c in members:
+        for kept in _submasks(b):
+            yield (a, kept, c), (a, b, c)
 
 
-def _weak_union(rel) -> list[Counterexample]:
-    out = []
-    for t in rel.sorted_members:
-        for kept, moved in _splits(t.b):
-            conclusion = Triplet(t.a, kept, t.c | moved)
-            if conclusion not in rel.members:
-                out.append(Counterexample("weak_union", (t,), conclusion))
-    return out
+def _weak_union(members, rank):
+    for a, b, c in members:
+        for kept in _submasks(b):
+            yield (a, kept, c | b & ~kept), (a, b, c)
 
 
-def _contraction(rel) -> list[Counterexample]:
-    out = []
-    members = rel.sorted_members
-    for t1 in members:  # (a, b, d)
-        want = t1.b | t1.c
-        for t2 in members:  # (a, c, b | d)
-            if t2.a != t1.a or t2.c != want:
-                continue
-            conclusion = Triplet(t1.a, t1.b | t2.b, t1.c)
-            if conclusion not in rel.members:
-                out.append(Counterexample("contraction", (t1, t2), conclusion))
-    return out
+def _contraction(members, rank):
+    by_ac = {}
+    for a, b, c in members:
+        by_ac.setdefault((a, c), []).append(b)
+    for a, b, d in members:  # (a, b | d) and (a, c | b ∪ d) give (a, b ∪ c | d)
+        for c in by_ac.get((a, b | d), ()):
+            yield (a, b | c, d), (a, b, d), (a, c, b | d)
 
 
-def _intersection(rel) -> list[Counterexample]:
-    out = []
-    members = rel.sorted_members
-    for t1 in members:  # (a, b, c | d)
-        for t2 in members:  # (a, c, b | d)
-            if t2.a != t1.a or not t2.b <= t1.c:
-                continue
-            d = t1.c - t2.b
-            if t2.c != t1.b | d:
-                continue
-            conclusion = Triplet(t1.a, t1.b | t2.b, d)
-            if conclusion not in rel.members:
-                out.append(Counterexample("intersection", (t1, t2), conclusion))
-    return out
+def _intersection(members, rank):
+    for a, b, cd in members:  # (a, b | c ∪ d) and (a, c | b ∪ d) give (a, b ∪ c | d)
+        seconds = [rank[t] for c in _submasks(cd) if (t := (a, c, b | cd & ~c)) in rank]
+        for r in sorted(seconds):  # second premises in sort_key order
+            c = members[r][1]
+            yield (a, b | c, cd & ~c), (a, b, cd), members[r]
 
 
+# Each check yields (conclusion, *premises) mask triplets for every instance
+# of its axiom, given the members' masks in sort_key order and their ranks.
 _AXIOM_CHECKS = {
     "symmetry": _symmetry,
     "decomposition": _decomposition,
@@ -157,13 +135,20 @@ def check_axiom(rel: IndependenceRelation, axiom: str) -> AxiomReport:
 
 
 def _check_axioms(rel, axioms) -> AxiomReport:
-    verdicts = {}
-    counterexamples: list[Counterexample] = []
-    for axiom in axioms:
-        cx = _AXIOM_CHECKS[axiom](rel)
-        verdicts[axiom] = not cx
-        counterexamples.extend(cx)
-    return AxiomReport(verdicts, tuple(counterexamples))
+    # bits in sorted-name order make _submasks follow sort_key
+    triplets = rel.sorted_members
+    order = tuple(sorted({n for t in triplets for n in t.a | t.b | t.c}))
+    members = [masks(order, t.a, t.b, t.c) for t in triplets]
+    rank = {m: i for i, m in enumerate(members)}
+    found = {
+        axiom: [Counterexample(axiom, tuple(triplets[rank[p]] for p in premises),
+                               Triplet.from_masks(order, *conclusion))
+                for conclusion, *premises in _AXIOM_CHECKS[axiom](members, rank)
+                if conclusion not in rank]
+        for axiom in axioms
+    }
+    return AxiomReport({axiom: not cx for axiom, cx in found.items()},
+                       tuple(cx for cxs in found.values() for cx in cxs))
 
 
 def is_semigraphoid(rel: IndependenceRelation) -> AxiomReport:
@@ -276,8 +261,10 @@ def fuzz_properties(config: FuzzConfig) -> FuzzReport:
     """Check the claimed axiom level of induced relations on random trials.
 
     Per trial and conjunction: the independence relation must be a
-    graphoid; under Lukasiewicz-like conjunctions the no-interactivity
-    relation must coincide with it; under min and product conjunctions
+    graphoid; under Lukasiewicz-like conjunctions it must be contained in
+    the no-interactivity relation (which is strictly wider on tables where
+    the conjunction clamps to 0, see characterize_luka_ni); under min and
+    product conjunctions
     the no-interactivity relation must be a semigraphoid, and its
     intersection gaps are mined.  The first violation aborts the run,
     serializing the offending distribution as a reproducer.
@@ -314,15 +301,13 @@ def fuzz_properties(config: FuzzConfig) -> FuzzReport:
             ni_rel = enumerate_relation(dist, conj, RelationKind.NON_INTERACTIVITY, config.eps)
             relations += 1
             if isinstance(conj, LukasiewiczLike):
-                if ni_rel.members != i_rel.members:
-                    gap = sorted(
-                        ni_rel.members ^ i_rel.members, key=lambda t: t.sort_key
-                    )[0]
+                missing = next((t for t in i_rel if t not in ni_rel), None)
+                if missing is not None:
                     fail(
                         trial, seed, dist, conj,
-                        "independence and no-interactivity coincide under "
+                        "independence is contained in no-interactivity under "
                         "lukasiewicz-like conjunctions",
-                        f"relations differ at {gap}",
+                        f"independence member {missing} is not in no-interactivity",
                     )
                     return FuzzReport(trials_run, relations, failures, mined)
             else:

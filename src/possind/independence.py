@@ -29,8 +29,9 @@ from .core import (
     IndependenceRelation,
     Space,
     Triplet,
-    _triplets_over,
+    candidate_masks,
     check_eps,
+    masks,
     triplet_count,
 )
 from .errors import BadTriplet, NotNormalised, OutOfRange, ScopeMismatch, TooLarge
@@ -97,7 +98,7 @@ def condition(dist: Distribution, a, b, conj: Conjunction) -> Distribution:
     if not set(a + b) <= set(dist.scope):
         raise ScopeMismatch("conditioning sets must lie inside the distribution scope")
     union = dist.space.subset(set(a) | set(b))
-    table = _conditional(dist, conj, dist._mask(a), dist._mask(b))
+    table = _conditional(dist, conj, *masks(dist.scope, a, b))
     return Distribution(dist.space, union, np.reshape(table, dist.space.shape(union)))
 
 
@@ -108,10 +109,6 @@ def _validate_membership(dist: Distribution, t: Triplet, eps) -> None:
         raise BadTriplet("triplet names variables outside the distribution scope")
     if not dist.normalised:
         raise NotNormalised("membership tests need a normalised distribution")
-
-
-def _masks(dist: Distribution, t: Triplet) -> tuple[int, int, int]:
-    return dist._mask(t.a), dist._mask(t.b), dist._mask(t.c)
 
 
 def _membership_sides(dist, conj, kind, a, b, c):
@@ -128,7 +125,7 @@ def _membership_sides(dist, conj, kind, a, b, c):
 
 def _membership(dist, t, conj, kind, eps) -> MembershipEvidence:
     _validate_membership(dist, t, eps)
-    a, b, c = _masks(dist, t)
+    a, b, c = masks(dist.scope, t.a, t.b, t.c)
     full = dist.space.subset(t.a | t.b | t.c)
     shape = dist.space.shape(full)
     witnesses: list[Witness] = []
@@ -156,7 +153,7 @@ def _marginal_tables(dist, t, eps):
     """Validated keepdims marginal tables (abc, c, ac, bc); they broadcast
     onto the joint frame of the triplet."""
     _validate_membership(dist, t, eps)
-    a, b, c = _masks(dist, t)
+    a, b, c = masks(dist.scope, t.a, t.b, t.c)
     return tuple(dist._marginal(m) for m in (a | b | c, c, a | c, b | c))
 
 
@@ -211,7 +208,7 @@ def characterize_product_i(dist, t, generator: Generator = IDENTITY, eps: float 
     zero-pattern clauses (one per direction)."""
     if not characterize_product_ni(dist, t, generator, eps):
         return False
-    a, b, c = _masks(dist, t)
+    a, b, c = masks(dist.scope, t.a, t.b, t.c)
     return _zero_pattern_clause(dist, a, b, c, eps) and _zero_pattern_clause(
         dist, b, a, c, eps
     )
@@ -301,8 +298,8 @@ def enumerate_relation(
     kind = RelationKind(kind)
     # all() stops at the first failing side, before the next side is built
     members = frozenset(
-        t for t in _triplets_over(names)
+        Triplet.from_masks(names, a, b, c) for a, b, c in candidate_masks(len(names))
         if all(not np.max(np.abs(lhs - rhs)) > eps
-               for lhs, rhs in _membership_sides(dist, conj, kind, *_masks(dist, t)))
+               for lhs, rhs in _membership_sides(dist, conj, kind, a, b, c))
     )
     return IndependenceRelation(dist.space, members)

@@ -192,6 +192,11 @@ class TestFuzz:
     def test_usage_error_on_bad_frame(self, capsys):
         assert main(["fuzz", "--trials", "1", "--frame", "0"]) == 2
 
+    def test_oversized_table_exits_two(self, capsys):
+        # 100**8 cells would need 800 PB
+        assert main(["fuzz", "--trials", "1", "--vars", "8", "--frame", "100"]) == 2
+        assert "exceed the guard" in capsys.readouterr().err
+
 
 class TestExamples:
     def test_all_builtin_checks_pass(self, capsys):
@@ -232,6 +237,15 @@ class TestErrorsAndDeterminism:
         path = tmp_path / "bad.json"
         path.write_text('{"variables": "nope"}')
         assert main(["marginalize", "--dist", str(path), "--keep", "X1"]) == 2
+
+    def test_oversized_document_exits_two(self, tmp_path, capsys):
+        # 2**50 cells would need 8 PiB
+        path = tmp_path / "wide.json"
+        doc = {"variables": [{"name": f"X{i}", "frame": ["0", "1"]} for i in range(50)],
+               "values": []}
+        path.write_text(json.dumps(doc))
+        assert main(["marginalize", "--dist", str(path), "--keep", "X1"]) == 2
+        assert "exceed the guard" in capsys.readouterr().err
 
     @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
     def test_bad_eps_exits_two(self, one_sided_file, eps, capsys):

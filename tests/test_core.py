@@ -1,5 +1,7 @@
 """Spaces, distributions, marginalization, extension and comparison."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from possind import (
     OutOfRange,
     ScopeMismatch,
     SpaceMismatch,
+    TooLarge,
     TooSmall,
     Triplet,
     BadTriplet,
@@ -105,6 +108,12 @@ class TestMakeDistribution:
             make_distribution(
                 SPACE3, SPACE3.names, [({"X1": "7", "X2": "0", "X3": "0"}, 0.5)]
             )
+
+    def test_oversized_table_rejected_before_allocation(self):
+        # 2**50 cells would need 8 PiB
+        space = build_space([(f"X{i}", ["0", "1"]) for i in range(50)])
+        with pytest.raises(TooLarge):
+            make_distribution(space, space.names, [])
 
     def test_table_is_read_only(self, one_sided):
         with pytest.raises(ValueError):
@@ -217,6 +226,11 @@ class TestEqualWithin:
         with pytest.raises(SpaceMismatch):
             one_sided.equal_within(two_peak)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+    def test_bad_eps_rejected(self, one_sided, eps):
+        with pytest.raises(ValueError):
+            one_sided.equal_within(one_sided, eps)
+
 
 class TestPossibilityMeasure:
     def test_whole_frame_of_normalised_distribution_is_one(self, one_sided):
@@ -259,6 +273,18 @@ class TestTriplets:
         assert len(enumerate_triplets(SPACE3)) == triplet_count(3) == 18
         space4 = build_space([(f"X{i}", ["0", "1"]) for i in range(4)])
         assert len(enumerate_triplets(space4)) == triplet_count(4) == 110
+
+    def test_enumeration_keeps_the_bucket_product_order(self):
+        # bucket 0 = unused, 1 -> a, 2 -> b, 3 -> c; first variable slowest
+        names = ("X2", "X10", "b", "a")
+        space = build_space([(n, ["0", "1"]) for n in names])
+        expected = []
+        for buckets in itertools.product((0, 1, 2, 3), repeat=len(names)):
+            a, b, c = (frozenset(n for n, k in zip(names, buckets) if k == part)
+                       for part in (1, 2, 3))
+            if a and b:
+                expected.append(Triplet(a, b, c))
+        assert enumerate_triplets(space) == expected
 
     def test_single_variable_space_rejected(self):
         with pytest.raises(TooSmall):

@@ -1,12 +1,18 @@
 """Axiom checking, random distribution generation and the fuzz harness."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from possind import (
     AXIOMS,
+    GRAPHOID_AXIOMS,
+    SEMIGRAPHOID_AXIOMS,
+    AxiomReport,
     Counterexample,
     FuzzConfig,
     IndependenceRelation,
@@ -26,6 +32,7 @@ from possind import (
     make_distribution,
     random_distribution,
 )
+from possind import graphoid
 
 from conftest import SPACE3
 
@@ -106,6 +113,71 @@ class TestAxioms:
             check_axiom(relation(), "transitivity")
 
 
+#: Names whose sorted order differs from the space order.
+SPACE4 = build_space([(n, ("0", "1")) for n in ("X2", "X10", "b", "a")])
+TRIPLETS4 = enumerate_triplets(SPACE4)
+
+
+def reference_counterexamples(rel, axiom):
+    """Pairwise brute force over the members in sort_key order; splits of b
+    run smallest first, then by sorted names."""
+    members, held = rel.sorted_members, rel.members
+
+    def splits(b):
+        return [frozenset(k) for r in range(1, len(b) + 1)
+                for k in itertools.combinations(sorted(b), r)]
+
+    instances = {
+        "symmetry": [((t,), Triplet(t.b, t.a, t.c)) for t in members],
+        "decomposition": [((t,), Triplet(t.a, k, t.c)) for t in members for k in splits(t.b)],
+        "weak_union": [((t,), Triplet(t.a, k, t.c | (t.b - k)))
+                       for t in members for k in splits(t.b)],
+        "contraction": [((t1, t2), Triplet(t1.a, t1.b | t2.b, t1.c))
+                        for t1 in members for t2 in members
+                        if t2.a == t1.a and t2.c == t1.b | t1.c],
+        "intersection": [((t1, t2), Triplet(t1.a, t1.b | t2.b, t1.c - t2.b))
+                         for t1 in members for t2 in members
+                         if t2.a == t1.a and t2.b <= t1.c and t2.c == t1.b | (t1.c - t2.b)],
+    }[axiom]
+    return [Counterexample(axiom, p, c) for p, c in instances if c not in held]
+
+
+def reference_report(rel, axioms):
+    found = {axiom: reference_counterexamples(rel, axiom) for axiom in axioms}
+    return AxiomReport(
+        {axiom: not cx for axiom, cx in found.items()},
+        tuple(cx for axiom in axioms for cx in found[axiom]),
+    )
+
+
+# sparse subsets, and the complements of sparse subsets, where premises pair often
+relations4 = st.frozensets(st.sampled_from(TRIPLETS4)).flatmap(
+    lambda some: st.sampled_from((some, frozenset(TRIPLETS4) - some))
+).map(lambda members: IndependenceRelation(SPACE4, members))
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(rel=relations4)
+    def test_reports_equal_the_brute_force_reference(self, rel):
+        for axioms, report in (
+            (GRAPHOID_AXIOMS, is_graphoid(rel)),
+            (SEMIGRAPHOID_AXIOMS, is_semigraphoid(rel)),
+            *(((axiom,), check_axiom(rel, axiom)) for axiom in AXIOMS),
+        ):
+            want = reference_report(rel, axioms)
+            assert report == want
+            assert list(report.verdicts) == list(axioms)
+
+    def test_induced_relations_equal_the_brute_force_reference(self):
+        for seed in range(4):
+            dist = random_distribution(SPACE4, seed=seed)
+            for conj in (Min(), ProductLike(), LukasiewiczLike()):
+                for kind in RelationKind:
+                    rel = enumerate_relation(dist, conj, kind)
+                    assert is_graphoid(rel) == reference_report(rel, GRAPHOID_AXIOMS)
+
+
 class TestLevels:
     def test_two_peak_noninteractivity_is_semigraphoid_only(self, two_peak):
         for conj in (ProductLike(), Min()):
@@ -177,10 +249,10 @@ class TestFuzz:
             for m in report.mined
         )
 
-    def test_lukasiewicz_divergence_is_reported_with_reproducer(self, tmp_path):
+    def test_lukasiewicz_divergence_is_reported_with_reproducer(self, tmp_path, monkeypatch):
         # single fully-possible atom: no-interactivity strictly exceeds
-        # independence under the clamped conjunction, which the harness
-        # must flag as a violated equivalence claim
+        # independence under the clamped conjunction, which is consistent
+        # with the claimed containment
         atom = make_distribution(
             SPACE3, SPACE3.names, [({"X1": "0", "X2": "0", "X3": "0"}, 1.0)]
         )
@@ -190,10 +262,22 @@ class TestFuzz:
             inject=(atom,),
             reproducer_dir=tmp_path,
         )
+        assert fuzz_properties(config).ok
+
+        # a planted independence member missing from no-interactivity is
+        # a violated containment claim
+        def planted(dist, conj, kind, eps):
+            full = kind is RelationKind.INDEPENDENCE
+            return IndependenceRelation(
+                dist.space, frozenset(enumerate_triplets(dist.space) if full else ())
+            )
+
+        monkeypatch.setattr(graphoid, "enumerate_relation", planted)
         report = fuzz_properties(config)
         assert not report.ok
         failure = report.failures[0]
-        assert "coincide" in failure.prop
+        assert "contained in no-interactivity" in failure.prop
+        assert failure.detail == "independence member (X1 ; X2 | -) is not in no-interactivity"
         assert failure.conjunction == "luka"
         doc = json.loads((tmp_path / failure.path.split("/")[-1]).read_text())
         assert doc["conjunction"] == "luka"
@@ -232,8 +316,6 @@ class TestFuzz:
 
 def test_module_also_exposes_triplet_machinery():
     # relation containers and triplet enumeration are reachable from here too
-    from possind import graphoid
-
     assert graphoid.enumerate_triplets is enumerate_triplets
     assert graphoid.IndependenceRelation is IndependenceRelation
     assert graphoid.triplet_count(3) == 18
