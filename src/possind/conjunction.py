@@ -180,15 +180,16 @@ def residuum(conj: Conjunction, a, b):
 def residuum_oracle(conj: Conjunction, a, b, steps: int = 10_000) -> float:
     """Brute-force residuum: largest grid point s = k/steps with c(s, a) <= b.
 
-    The comparison carries a 1e-12 slack so boundary grid points are not
-    excluded by float noise.  Converges to the closed form as steps grows.
+    The comparison carries a slack of 1e-12 relative to b, so boundary grid
+    points are not excluded by float noise and tiny degrees are still
+    resolved.  Converges to the closed form as steps grows.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     af = float(_check_unit(a))
     bf = float(_check_unit(b))
     s = np.linspace(0.0, 1.0, int(steps) + 1)
-    ok = conj.conjoin(s, af) <= bf + 1e-12
+    ok = conj.conjoin(s, af) <= bf * (1.0 + 1e-12)
     return float(s[ok].max())
 
 

@@ -11,6 +11,7 @@ and every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -318,8 +319,9 @@ class IndependenceRelation:
     def __iter__(self) -> Iterator[Triplet]:
         return iter(self.sorted_members)
 
-    @property
+    @functools.cached_property
     def sorted_members(self) -> tuple[Triplet, ...]:
+        """The members in sort_key order, sorted on first access."""
         return tuple(sorted(self.members, key=lambda t: t.sort_key))
 
     def __repr__(self) -> str:

@@ -311,18 +311,17 @@ def fuzz_properties(config: FuzzConfig) -> FuzzReport:
                     )
                     return FuzzReport(trials_run, relations, failures, mined)
             else:
-                semi = is_semigraphoid(ni_rel)
-                if not semi.holds:
+                report = is_graphoid(ni_rel)
+                if not all(report.verdicts[axiom] for axiom in SEMIGRAPHOID_AXIOMS):
                     fail(
                         trial, seed, dist, conj,
                         "no-interactivity relation is a semigraphoid",
-                        str(semi.counterexamples[0]),
+                        str(report.counterexamples[0]),
                     )
                     return FuzzReport(trials_run, relations, failures, mined)
-                inter = check_axiom(ni_rel, "intersection")
                 mined.extend(
                     MinedCounterexample(trial, conj.spec_string(), cx)
-                    for cx in inter.counterexamples
+                    for cx in report.counterexamples if cx.axiom == "intersection"
                 )
 
     return FuzzReport(trials_run, relations, failures, mined)

@@ -17,6 +17,8 @@ against each other.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,6 +40,15 @@ from .errors import BadTriplet, NotNormalised, OutOfRange, ScopeMismatch, TooLar
 
 #: Enumeration refuses spaces with more candidate triplets than this.
 RELATION_GUARD = 100_000
+
+#: Enumeration compares at most this many cells of a scope's frame at once.
+BLOCK_CELLS = 1 << 13
+
+#: Scopes whose frames have more cells than this are enumerated one triplet
+#: at a time: past it, computing every conditional on the scope's frame
+#: costs more than the per-triplet route, which reuses memoised
+#: conditionals on smaller frames and stops at the first failed side.
+CROSSOVER_CELLS = 1 << 11
 
 
 def _check_relation_guard(n_variables: int) -> None:
@@ -71,15 +82,19 @@ class MembershipEvidence:
         return self.verdict
 
 
+def _checked(conditional):
+    if not np.all((conditional >= 0.0) & (conditional <= 1.0)):
+        raise OutOfRange("conditional degrees must lie in [0, 1]")
+    return conditional
+
+
 def _conditional(dist: Distribution, conj: Conjunction, x: int, given: int) -> np.ndarray:
     """Keepdims residuum(lattice[given], lattice[x | given]), memoised per conjunction."""
     memo = dist._conditional_memo.setdefault(conj, {})
     out = memo.get((x, given))
     if out is None:
-        out = conj.residuum(dist._marginal(given), dist._marginal(x | given))
-        if not np.all((out >= 0.0) & (out <= 1.0)):
-            raise OutOfRange("conditional degrees must lie in [0, 1]")
-        memo[(x, given)] = out
+        out = memo[(x, given)] = _checked(
+            conj.residuum(dist._marginal(given), dist._marginal(x | given)))
     return out
 
 
@@ -111,16 +126,21 @@ def _validate_membership(dist: Distribution, t: Triplet, eps) -> None:
         raise NotNormalised("membership tests need a normalised distribution")
 
 
-def _membership_sides(dist, conj, kind, a, b, c):
-    """Yield (lhs, rhs) keepdims table pairs whose pointwise equality defines
-    membership of the triplet with masks (a, b, c).  Each lhs spans a|b|c."""
+def _side_pairs(kind, a, b, c):
+    """The sides whose pointwise equality defines membership of the triplet
+    with masks (a, b, c), as (x, given) conditionals: the first is the left
+    side, which spans a|b|c; the rest make the right side, conjoined when
+    there are two."""
     if kind is RelationKind.INDEPENDENCE:
-        for x, y in ((a, b), (b, a)):
-            yield _conditional(dist, conj, x, y | c), _conditional(dist, conj, x, c)
-    else:
-        ca = _conditional(dist, conj, a, c)
-        cb = _conditional(dist, conj, b, c)
-        yield _conditional(dist, conj, a | b, c), conj.conjoin(ca, cb)
+        return ((a, b | c), (a, c)), ((b, a | c), (b, c))
+    return ((a | b, c), (a, c), (b, c)),
+
+
+def _membership_sides(dist, conj, kind, a, b, c):
+    """Yield the (lhs, rhs) keepdims tables of each side in turn."""
+    for side in _side_pairs(kind, a, b, c):
+        lhs, *rhs = (_conditional(dist, conj, x, given) for x, given in side)
+        yield lhs, conj.conjoin(*rhs) if len(rhs) == 2 else rhs[0]
 
 
 def _membership(dist, t, conj, kind, eps) -> MembershipEvidence:
@@ -286,20 +306,92 @@ def _draw_factor(rng, space, scope, c_scope, h, k_min, grid) -> Distribution:
     return Distribution(space, scope, vals)
 
 
+@functools.cache
+def _row_tables(k: int, kind: RelationKind):
+    """Local (a, b, c) masks of the candidate triplets that span all of k
+    bits, and per side a (triplets, conditionals, 2) array of the
+    (given, x | given) marginal masks of each of its conditionals."""
+    full = (1 << k) - 1
+    local = [t for t in candidate_masks(k) if t[0] | t[1] | t[2] == full]
+    sides = zip(*(_side_pairs(kind, *t) for t in local))
+    tables = [np.array(local)]
+    tables += (np.array([[(g, x | g) for x, g in pairs] for pairs in side]) for side in sides)
+    for table in tables:
+        table.setflags(write=False)
+    return tables[0], tables[1:]
+
+
+def _scope_members(dist, conj, kind, eps, scopes) -> list:
+    """(a, b, c) masks of the members among the candidates whose a|b|c is
+    one of `scopes`, scope masks whose axes have the same frame sizes.
+
+    Small frames are evaluated in blocks of candidates from all the scopes
+    at once, on marginals broadcast onto the scope's frame: each side in
+    one residuum call, the next side only for the candidates that passed.
+    Large frames are evaluated one candidate at a time on the memoised
+    keepdims conditionals, as in_* does, stopping at the first failed side."""
+    n = len(dist.scope)
+    bits = np.array([[1 << i for i in range(n) if scope >> i & 1] for scope in scopes])
+    k = bits.shape[1]
+    local, sides = _row_tables(k, kind)
+    # spread[q, x] is the mask of the axes of scopes[q] that local mask x selects
+    spread = bits @ (np.arange(1 << k)[:, None] >> np.arange(k) & 1).T
+    candidates = spread[:, local].reshape(-1, 3)
+    cells = dist._marginal(scopes[0]).size
+    if cells > CROSSOVER_CELLS:
+        return [t for t in candidates.tolist()
+                if all(not np.max(np.abs(lhs - rhs)) > eps
+                       for lhs, rhs in _membership_sides(dist, conj, kind, *t))]
+    marginals = np.empty((len(scopes), 1 << k, cells))
+    for q, scope in enumerate(scopes):
+        rows = marginals[q].reshape(1 << k, *dist._marginal(scope).shape)
+        for x, mask in enumerate(spread[q].tolist()):
+            rows[x] = dist._marginal(mask)
+    # every left side conditions a whole scope: row (q, u) is (given u, total scopes[q])
+    lhs_rows = _checked(conj.residuum(marginals.reshape(-1, cells),
+                                      np.repeat(marginals[:, -1], 1 << k, axis=0)))
+    marginals = marginals.reshape(-1, cells)
+    offsets = np.arange(len(scopes))[:, None, None, None] << k
+    sides = [(side + offsets).reshape(-1, *side.shape[1:]) for side in sides]
+    members = []
+    step = max(1, BLOCK_CELLS // cells)
+    for start in range(0, len(candidates), step):
+        alive = np.arange(start, min(start + step, len(candidates)))
+        for side in sides:
+            pairs = side[alive]
+            given, total = pairs[:, 1:].reshape(-1, 2).T
+            rhs = _checked(conj.residuum(marginals[given], marginals[total]))
+            # a side with two right-side conditionals lists them in turn
+            rhs = conj.conjoin(rhs[0::2], rhs[1::2]) if pairs.shape[1] == 3 else rhs
+            # not (max > eps): a NaN difference passes, as on the other route
+            alive = alive[~(np.max(np.abs(lhs_rows[pairs[:, 0, 0]] - rhs), axis=1) > eps)]
+        members += candidates[alive].tolist()
+    return members
+
+
 def enumerate_relation(
     dist: Distribution, conj: Conjunction, kind: RelationKind, eps: float = EPS
 ) -> IndependenceRelation:
-    """All triplets over the distribution scope whose membership test holds."""
+    """All triplets over the distribution scope whose membership test holds.
+
+    Candidates are grouped by their scope a|b|c and evaluated on that
+    scope's frame, with the comparisons of in_independence and
+    in_noninteractivity: scopes whose frames have at most CROSSOVER_CELLS
+    cells in blocks of at most BLOCK_CELLS cells, larger ones one
+    triplet at a time."""
     if not dist.normalised:
         raise NotNormalised("relation enumeration needs a normalised distribution")
     names = dist.scope
     _check_relation_guard(len(names))
     check_eps(eps)
     kind = RelationKind(kind)
-    # all() stops at the first failing side, before the next side is built
+    groups = {}  # frame sizes of a scope's axes -> scope masks
+    for scope in range(1 << len(names)):
+        sizes = tuple(size for i, size in enumerate(dist.table.shape) if scope >> i & 1)
+        if len(sizes) >= 2:
+            groups.setdefault(sizes, []).append(scope)
     members = frozenset(
-        Triplet.from_masks(names, a, b, c) for a, b, c in candidate_masks(len(names))
-        if all(not np.max(np.abs(lhs - rhs)) > eps
-               for lhs, rhs in _membership_sides(dist, conj, kind, a, b, c))
+        Triplet.from_masks(names, *t)
+        for scopes in groups.values() for t in _scope_members(dist, conj, kind, eps, scopes)
     )
     return IndependenceRelation(dist.space, members)

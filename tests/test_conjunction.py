@@ -188,6 +188,21 @@ class TestResiduumOracle:
         for conj in FAMILIES:
             assert residuum_oracle(conj, 0.4, 1.0, steps=17) == 1.0
 
+    @pytest.mark.parametrize(
+        "conj,a,b",
+        [
+            (Min(), 1e-200, 3e-201),
+            (ProductLike(), 1e-200, 1e-201),
+            # phi(1e-200) underflows under pow=2, so the conjunction the
+            # oracle scans is 0 there; 1e-100 is the tiny degree it resolves
+            (ProductLike(Generator(2.0)), 1e-100, 1e-101),
+        ],
+        ids=str,
+    )
+    def test_tiny_degrees(self, conj, a, b):
+        # a slack of 1e-12 absolute would admit every grid point and give 1.0
+        assert residuum_oracle(conj, a, b) == pytest.approx(conj.residuum(a, b), abs=1e-4)
+
     def test_min_scan(self):
         assert residuum_oracle(Min(), 0.9, 0.6, steps=1000) == pytest.approx(0.6, abs=1e-9)
 

@@ -91,6 +91,15 @@ class TestMakeDistribution:
         assert not half.normalised
         assert half.at({"X1": "1", "X2": "0", "X3": "0"}) == 0.0
 
+    def test_normalised_needs_an_exact_one(self):
+        # every other comparison is within eps; normalisation is max == 1.0
+        atom = {"X1": "0", "X2": "0", "X3": "0"}
+        near = make_distribution(SPACE3, SPACE3.names, [(atom, 1.0 - 1e-12)])
+        exact = make_distribution(SPACE3, SPACE3.names, [(atom, 1.0)])
+        assert near.equal_within(exact)
+        assert not near.normalised
+        assert exact.normalised
+
     def test_unlisted_assignments_default_to_zero(self):
         dist = make_distribution(SPACE3, SPACE3.names, [])
         assert all(v == 0.0 for _, v in dist.items())

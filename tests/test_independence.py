@@ -1,5 +1,7 @@
 """Conditioning, membership tests, characterizations and the constructor."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,13 @@ from hypothesis import strategies as st
 
 from possind import (
     BadTriplet,
+    Conjunction,
     Distribution,
     Generator,
     LukasiewiczLike,
     Min,
     NotNormalised,
+    OutOfRange,
     ProductLike,
     RelationKind,
     ScopeMismatch,
@@ -32,7 +36,9 @@ from possind import (
     in_noninteractivity,
     make_distribution,
     parse_conjunction,
+    random_distribution,
 )
+from possind.independence import BLOCK_CELLS, CROSSOVER_CELLS
 
 from conftest import SPACE3, distributions3, triplets3
 
@@ -444,6 +450,24 @@ def seeded_tables():
     return out
 
 
+def _factor(rng, shape):
+    factor = rng.integers(1, 11, size=shape) / 10
+    factor.flat[rng.integers(0, factor.size)] = 1.0
+    return factor
+
+
+def crossover_tables():
+    """3-variable block tables: with frames of 12 the whole scope is
+    enumerated in several blocks, with frames of 13 one triplet at a time;
+    pair scopes stay below the crossover in both."""
+    rng = np.random.default_rng(0)
+    out = []
+    for f, combine in ((12, np.multiply), (13, np.minimum)):
+        space = build_space([(f"X{i + 1}", [str(v) for v in range(f)]) for i in range(3)])
+        out.append((space, combine(_factor(rng, (f, 1, 1)), _factor(rng, (1, f, f)))))
+    return out
+
+
 def evidence_record(dist, t, conj):
     return [
         (ev.verdict, [(w.assignment, w.left, w.right) for w in ev.witnesses])
@@ -459,12 +483,34 @@ class TestRoutesAgree:
     @pytest.mark.parametrize("conj", ROUTE_FAMILIES, ids=str)
     def test_enumeration_equals_membership_tests(self, conj, kind):
         test = in_independence if kind is RelationKind.INDEPENDENCE else in_noninteractivity
-        for space, table in seeded_tables():
+        for space, table in seeded_tables() + crossover_tables():
             dist = Distribution(space, space.names, table)
             members = enumerate_relation(dist, conj, kind).members
             fresh = Distribution(space, space.names, table)
             expected = {t for t in enumerate_triplets(space) if test(fresh, t, conj).verdict}
             assert members == expected
+
+    def test_crossover_tables_straddle_both_regimes(self):
+        # 12 candidates span all 3 variables: with frames of 12 they take
+        # several blocks, with frames of 13 they are evaluated one by one
+        assert 13**2 <= CROSSOVER_CELLS
+        assert 12**3 <= CROSSOVER_CELLS < 13**3
+        assert BLOCK_CELLS // 12**3 < 12
+
+    @pytest.mark.parametrize("tile", [1, 23], ids=["blocks", "one-by-one"])
+    def test_sides_differing_by_exactly_eps_are_members(self, tile):
+        # cond(X2 | X1) and cond(X2) differ by 0.25 at X1=1, X2=1 and agree
+        # elsewhere; tiling keeps every conditional and moves the 2-variable
+        # scope past the crossover (46**2 cells)
+        table = np.kron([[1.0, 0.75], [0.5, 0.5]], np.ones((tile, tile)))
+        frame = [str(v) for v in range(2 * tile)]
+        space = build_space([("X1", frame), ("X2", frame)])
+        assert (table.size > CROSSOVER_CELLS) == (tile > 1)
+        t = Triplet.of("X1", "X2")
+        for eps, member in ((0.25, True), (0.125, False)):
+            dist = Distribution(space, space.names, table)
+            assert (t in enumerate_relation(dist, MIN, RelationKind.INDEPENDENCE, eps)) is member
+            assert in_independence(dist, t, MIN, eps).verdict is member
 
     def test_memo_does_not_leak_between_conjunctions(self):
         for space, table in seeded_tables():
@@ -473,6 +519,50 @@ class TestRoutesAgree:
                 for conj in ROUTE_FAMILIES:
                     fresh = Distribution(space, space.names, table)
                     assert evidence_record(shared, t, conj) == evidence_record(fresh, t, conj)
+
+
+@dataclass(frozen=True)
+class Hamacher(Conjunction):
+    """The Hamacher product ab / (a + b - ab), a conjunction possind does not ship."""
+
+    def _conjoin(self, aa, bb):
+        den = aa + bb - aa * bb
+        return np.where(den > 0, aa * bb / np.where(den > 0, den, 1.0), 0.0)
+
+    def _residuum(self, aa, bb):
+        den = aa - bb + aa * bb
+        return np.where(bb >= aa, 1.0, aa * bb / np.where(bb >= aa, 1.0, den))
+
+    def spec_string(self) -> str:
+        return "hamacher"
+
+
+@dataclass(frozen=True)
+class OutOfUnit(Hamacher):
+    def _residuum(self, aa, bb):
+        return 1.5
+
+
+class TestCustomConjunction:
+    @pytest.mark.parametrize("kind", list(RelationKind), ids=lambda k: k.value)
+    def test_enumeration_equals_membership_tests(self, kind):
+        test = in_independence if kind is RelationKind.INDEPENDENCE else in_noninteractivity
+        space = build_space([(f"X{i + 1}", ("0", "1")) for i in range(4)])
+        for seed in (2, 4, 9):  # seeds whose relations are not empty
+            table = random_distribution(space, seed=seed).table
+            members = enumerate_relation(Distribution(space, space.names, table), Hamacher(), kind)
+            fresh = Distribution(space, space.names, table)
+            expected = {t for t in enumerate_triplets(space) if test(fresh, t, Hamacher()).verdict}
+            assert members.members == expected
+            assert expected
+
+    @pytest.mark.parametrize("frame", [2, 50], ids=["blocks", "one-by-one"])
+    @pytest.mark.parametrize("kind", list(RelationKind), ids=lambda k: k.value)
+    def test_out_of_range_conditionals_are_refused(self, frame, kind):
+        space = build_space([(f"X{i + 1}", [str(v) for v in range(frame)]) for i in range(2)])
+        dist = random_distribution(space, seed=0)
+        with pytest.raises(OutOfRange):
+            enumerate_relation(dist, OutOfUnit(), kind)
 
 
 class TestEpsValidation:
