@@ -6,7 +6,7 @@ generator phi, a continuous strictly increasing bijection of [0, 1] with
 phi(0) = 0 and phi(1) = 1:
 
     lukasiewicz: c(a, b) = phi_inv(max(0, phi(a) + phi(b) - 1))
-    product:     c(a, b) = phi_inv(phi(a) * phi(b))
+    product:     c(a, b) = phi_inv(phi(a) * phi(b))  (= a * b for power generators)
 
 The residuum of a conjunction is F(a, b) = sup{s in [0, 1] : c(s, a) <= b};
 conditioning a joint distribution on a marginal goes through it.  All
@@ -149,18 +149,17 @@ class ProductLike(Conjunction):
 
     generator: Generator = field(default=IDENTITY)
 
+    # For power generators phi_inv(phi(a) * phi(b)) = a * b and
+    # phi_inv(phi(b) / phi(a)) = b / a, so neither goes through phi, which
+    # underflows at tiny degrees (phi(1e-200) = 0 under power 2).
+
     def _conjoin(self, aa, bb):
-        g = self.generator
-        out = g.invert(g.apply(aa) * g.apply(bb))
-        return _force_boundaries(out, aa, bb)
+        return _force_boundaries(aa * bb, aa, bb)
 
     def _residuum(self, aa, bb):
-        g = self.generator
-        # phi(b / a) = phi(b) / phi(a) for power generators, without the
-        # 0 / 0 of underflowing phi; the divisor is used only where a > b
+        # the divisor is used only where a > b
         ratio = bb / np.where(aa > bb, aa, 1.0)
-        out = np.where(bb >= aa, 1.0, g.invert(g.apply(ratio)))
-        return np.clip(out, 0.0, 1.0)
+        return np.clip(np.where(bb >= aa, 1.0, ratio), 0.0, 1.0)
 
     def spec_string(self) -> str:
         p = self.generator.power

@@ -39,6 +39,10 @@ EPS = 1e-9
 #: Dense tables refuse more cells than this (80 MB of float64 degrees).
 TABLE_GUARD = 10**7
 
+#: A relation's encoding holds at most this many names: the axiom checks
+#: look members up by int64 codes of two bits per name.
+ENCODED_NAMES = 31
+
 
 def check_eps(eps: float) -> None:
     """Raise ValueError unless `eps` is a finite tolerance >= 0."""
@@ -289,11 +293,6 @@ class Triplet:
         if self.a & self.b or self.a & self.c or self.b & self.c:
             raise BadTriplet("triplet parts must be pairwise disjoint")
 
-    @classmethod
-    def from_masks(cls, order: tuple[str, ...], a: int, b: int, c: int) -> "Triplet":
-        """The triplet whose parts are the names of `order` that each mask selects."""
-        return cls(*(frozenset(n for i, n in enumerate(order) if m >> i & 1) for m in (a, b, c)))
-
     @property
     def sort_key(self):
         return (tuple(sorted(self.a)), tuple(sorted(self.b)), tuple(sorted(self.c)))
@@ -319,10 +318,31 @@ class IndependenceRelation:
     def __iter__(self) -> Iterator[Triplet]:
         return iter(self.sorted_members)
 
-    @functools.cached_property
+    @property
     def sorted_members(self) -> tuple[Triplet, ...]:
-        """The members in sort_key order, sorted on first access."""
-        return tuple(sorted(self.members, key=lambda t: t.sort_key))
+        """The members in sort_key order."""
+        return self._encoding[2]
+
+    @functools.cached_property
+    def _encoding(self) -> tuple[tuple[str, ...], np.ndarray, tuple[Triplet, ...]]:
+        """(names, rows, members): the names the members use, sorted; and the
+        members in sort_key order, with the int64 (a, b, c) bitmasks of
+        each over those names as the rows of an (M, 3) array.  TooLarge
+        past ENCODED_NAMES names."""
+        members = list(self.members)
+        parts = {p for t in members for p in (t.a, t.b, t.c)}
+        names = tuple(sorted(set().union(*parts)))
+        if len(names) > ENCODED_NAMES:
+            raise TooLarge(f"the relation names {len(names)} variables; its encoding "
+                           f"holds at most {ENCODED_NAMES}")
+        # ranks of the parts' sorted names order the members as sort_key does
+        ranked = sorted(parts, key=sorted)
+        rank = {p: i for i, p in enumerate(ranked)}
+        part_masks = np.array(masks(names, *ranked), dtype=np.int64)
+        ranks = np.array([(rank[t.a], rank[t.b], rank[t.c]) for t in members],
+                         dtype=np.int64).reshape(-1, 3)
+        order = np.lexsort(ranks.T[::-1])
+        return names, part_masks[ranks[order]], tuple(members[i] for i in order.tolist())
 
     def __repr__(self) -> str:
         return f"IndependenceRelation({len(self.members)} triplets)"
@@ -345,8 +365,16 @@ def candidate_masks(n_variables: int) -> list[tuple[int, int, int]]:
     return [(a, b, c) for a, b, c in walk if a and b]
 
 
+def triplets_from_masks(order: tuple[str, ...], rows) -> list[Triplet]:
+    """The triplet of each (a, b, c) row of bitmasks over `order`, bit i
+    standing for order[i]; triplets share one frozenset per distinct mask."""
+    part = {m: frozenset(n for i, n in enumerate(order) if m >> i & 1)
+            for m in {m for row in rows for m in row}}
+    return [Triplet(part[a], part[b], part[c]) for a, b, c in rows]
+
+
 def enumerate_triplets(space: Space) -> list[Triplet]:
     """All ordered disjoint triplets (a, b, c) with a, b nonempty over the space."""
     if len(space) < 2:
         raise TooSmall("triplet enumeration needs at least two variables")
-    return [Triplet.from_masks(space.names, *m) for m in candidate_masks(len(space))]
+    return triplets_from_masks(space.names, candidate_masks(len(space)))

@@ -4,9 +4,19 @@ The five axioms (symmetry, decomposition, weak union, contraction,
 intersection) are checked purely set-theoretically: every premise pattern
 is instantiated exhaustively over the relation's members and each
 instance whose conclusion triplet is absent becomes a counterexample.  A
-semigraphoid satisfies the first four, a graphoid all five.  Members are
-encoded once as bitmasks over the sorted names, and second premises are
-found by lookup: contraction by (a, c), intersection per submask of c.
+semigraphoid satisfies the first four, a graphoid all five.
+
+The checks run on the relation's encoding: the (a, b, c) bitmasks of its
+members over their sorted names, as rows of an int64 array in sort_key
+order.  All instances of an axiom are produced at once by array
+operations: the splits of b or c, one popcount at a time; contraction's
+second premises by an equal-key join on (a, c); membership by binary
+search over codes of two bits per name, so a relation may name at most
+core.ENCODED_NAMES variables.  Only instances whose conclusion is missing
+become Counterexample objects.  They are listed by the first premise's
+rank, then by the split's position (fewest names first, then by sorted
+names) or the second premise's rank, as a loop over the members in
+sort_key order would find them.
 
 The fuzzer draws random grid-valued distributions, induces independence
 and no-interactivity relations under the configured conjunctions, and
@@ -19,11 +29,12 @@ are expected and are collected as mined counterexamples instead.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 from .conjunction import Conjunction, LukasiewiczLike, default_families
 from .core import (  # noqa: F401  (IndependenceRelation and enumerate_triplets
@@ -35,8 +46,8 @@ from .core import (  # noqa: F401  (IndependenceRelation and enumerate_triplets
     build_space,
     check_eps,
     enumerate_triplets,
-    masks,
     triplet_count,
+    triplets_from_masks,
 )
 from .independence import RelationKind, _check_relation_guard, enumerate_relation
 from .serialize import reproducer_document
@@ -76,54 +87,116 @@ class AxiomReport:
         return tuple(name for name, ok in self.verdicts.items() if not ok)
 
 
-def _submasks(m: int) -> Iterator[int]:
-    """Nonempty submasks of `m`, fewest bits first, then by bit positions."""
-    bits = [1 << i for i in range(m.bit_length()) if m >> i & 1]
-    return (sum(k) for r in range(1, len(bits) + 1) for k in itertools.combinations(bits, r))
+@functools.cache
+def _choices(width: int) -> tuple[np.ndarray, int]:
+    """(picks, S): the (width, S) 0/1 columns picking the S nonempty
+    subsets of `width` bits, fewest bits first, then in lexicographic
+    order of bit positions."""
+    picks = [[int(i in k) for i in range(width)]
+             for r in range(1, width + 1) for k in itertools.combinations(range(width), r)]
+    return np.array(picks, dtype=np.int64).T, len(picks)
 
 
-def _symmetry(members, rank):
-    for a, b, c in members:
-        yield (b, a, c), (a, b, c)
+_NONE = np.zeros(0, np.int64)
 
 
-def _decomposition(members, rank):
-    for a, b, c in members:
-        for kept in _submasks(b):
-            yield (a, kept, c), (a, b, c)
+class _Rows:
+    """The members' (a, b, c) mask columns in sort_key order, over n names."""
+
+    def __init__(self, rows: np.ndarray, n: int):
+        self.rows = rows
+        self.a, self.b, self.c = rows.T
+        self.n = n
+        codes = self.code(self.a, self.b, self.c)
+        self.sorter = codes.argsort()
+        self.codes = codes[self.sorter]
+
+    def code(self, a, b, c):
+        """Two bits per name: in a or c, in b or c."""
+        return a | c | (b | c) << self.n
+
+    def parts(self, code):
+        """The (a, b, c) masks of codes."""
+        low, high = code & (1 << self.n) - 1, code >> self.n
+        return low & ~high, high & ~low, low & high
+
+    def rank_of(self, code) -> np.ndarray:
+        """Each coded triplet's rank among the members, -1 for a non-member."""
+        at = np.minimum(self.codes.searchsorted(code), len(self.codes) - 1)
+        return np.where(self.codes[at] == code, self.sorter[at], -1)
+
+    @functools.cached_property
+    def splits(self) -> dict:
+        """{"b": (owner, kept, pos), "c": ...}: each nonempty submask `kept`
+        of the b or c mask of member `owner`, pos numbering an owner's
+        submasks in _choices order.  Masks of one popcount share their
+        _choices."""
+        bits = self.rows.T[1:, :, None] >> np.arange(self.n) & 1
+        width = bits.sum(axis=2)
+        found = [(_NONE,) * 4]
+        for w in set(width.ravel().tolist()) - {0}:
+            part, owner = (width == w).nonzero()
+            picks, subsets = _choices(w)
+            kept = (1 << bits[part, owner].nonzero()[1].reshape(-1, w)) @ picks
+            found.append((part.repeat(subsets), owner.repeat(subsets), kept.ravel(),
+                          np.arange(kept.size) % subsets))
+        part, *columns = map(np.concatenate, zip(*found))
+        return {name: [column[part == i] for column in columns] for i, name in enumerate("bc")}
 
 
-def _weak_union(members, rank):
-    for a, b, c in members:
-        for kept in _submasks(b):
-            yield (a, kept, c | b & ~kept), (a, b, c)
+# Each check returns every instance of its axiom as the columns (first
+# premise's rank, second premise's rank, tiebreak, conclusion's code); an
+# axiom with one premise repeats the first.  Instances are listed by
+# the first premise's rank, then by the tiebreak: the position of the
+# split among the submasks of b, or the second premise's rank.
+
+def _symmetry(m: _Rows):
+    first = np.arange(len(m.a))
+    return first, first, first, m.code(m.b, m.a, m.c)
 
 
-def _contraction(members, rank):
-    by_ac = {}
-    for a, b, c in members:
-        by_ac.setdefault((a, c), []).append(b)
-    for a, b, d in members:  # (a, b | d) and (a, c | b ∪ d) give (a, b ∪ c | d)
-        for c in by_ac.get((a, b | d), ()):
-            yield (a, b | c, d), (a, b, d), (a, c, b | d)
+def _decomposition(m: _Rows):
+    first, kept, pos = m.splits["b"]
+    return first, first, pos, m.code(m.a[first], kept, m.c[first])
 
 
-def _intersection(members, rank):
-    for a, b, cd in members:  # (a, b | c ∪ d) and (a, c | b ∪ d) give (a, b ∪ c | d)
-        seconds = [rank[t] for c in _submasks(cd) if (t := (a, c, b | cd & ~c)) in rank]
-        for r in sorted(seconds):  # second premises in sort_key order
-            c = members[r][1]
-            yield (a, b | c, cd & ~c), (a, b, cd), members[r]
+def _weak_union(m: _Rows):
+    first, kept, pos = m.splits["b"]
+    return first, first, pos, m.code(m.a[first], kept, m.c[first] | m.b[first] & ~kept)
 
 
-# Each check yields (conclusion, *premises) mask triplets for every instance
-# of its axiom, given the members' masks in sort_key order and their ranks.
+def _contraction(m: _Rows):
+    # (a, b | d) and (a, c | b ∪ d) give (a, b ∪ c | d): an equal-key join
+    # of each member's (a, b ∪ d) with the members' (a, c)
+    keys = m.a | m.c << m.n
+    order = keys.argsort()
+    keys = keys[order]
+    wanted = m.a | (m.b | m.c) << m.n
+    lo = keys.searchsorted(wanted, "left")
+    count = keys.searchsorted(wanted, "right") - lo
+    first = np.arange(len(m.a)).repeat(count)
+    second = order[(lo - count.cumsum() + count).repeat(count) + np.arange(len(first))]
+    return first, second, second, m.code(m.a[first], m.b[first] | m.b[second], m.c[first])
+
+
+def _intersection(m: _Rows):
+    # (a, b | c ∪ d) and (a, c | b ∪ d) give (a, b ∪ c | d), for every
+    # nonempty c inside the first premise's condition
+    first, moved, _ = m.splits["c"]
+    rest = m.c[first] & ~moved
+    second = m.rank_of(m.code(m.a[first], moved, m.b[first] | rest))
+    held = second >= 0
+    first, moved, rest, second = first[held], moved[held], rest[held], second[held]
+    return first, second, second, m.code(m.a[first], m.b[first] | moved, rest)
+
+
+# each axiom's check and its number of premises
 _AXIOM_CHECKS = {
-    "symmetry": _symmetry,
-    "decomposition": _decomposition,
-    "weak_union": _weak_union,
-    "contraction": _contraction,
-    "intersection": _intersection,
+    "symmetry": (_symmetry, 1),
+    "decomposition": (_decomposition, 1),
+    "weak_union": (_weak_union, 1),
+    "contraction": (_contraction, 2),
+    "intersection": (_intersection, 2),
 }
 
 
@@ -135,18 +208,25 @@ def check_axiom(rel: IndependenceRelation, axiom: str) -> AxiomReport:
 
 
 def _check_axioms(rel, axioms) -> AxiomReport:
-    # bits in sorted-name order make _submasks follow sort_key
-    triplets = rel.sorted_members
-    order = tuple(sorted({n for t in triplets for n in t.a | t.b | t.c}))
-    members = [masks(order, t.a, t.b, t.c) for t in triplets]
-    rank = {m: i for i, m in enumerate(members)}
-    found = {
-        axiom: [Counterexample(axiom, tuple(triplets[rank[p]] for p in premises),
-                               Triplet.from_masks(order, *conclusion))
-                for conclusion, *premises in _AXIOM_CHECKS[axiom](members, rank)
-                if conclusion not in rank]
-        for axiom in axioms
-    }
+    found = {axiom: [] for axiom in axioms}
+    if rel.members:
+        names, rows, members = rel._encoding
+        m = _Rows(rows, len(names))
+        first, second, tiebreak, code = zip(*(_AXIOM_CHECKS[axiom][0](m) for axiom in axioms))
+        code = np.concatenate(code)
+        # one lookup for the conclusions of every axiom
+        missing = (m.rank_of(code) < 0).nonzero()[0]
+        if missing.size:
+            of_axiom = np.arange(len(axioms)).repeat([len(column) for column in first])[missing]
+            first, second, tiebreak = (np.concatenate(column)[missing]
+                                       for column in (first, second, tiebreak))
+            order = np.lexsort((tiebreak, first, of_axiom))
+            parts = (part[order].tolist() for part in m.parts(code[missing]))
+            concluded = triplets_from_masks(names, list(zip(*parts)))
+            for k, f, r, t in zip(of_axiom[order].tolist(), first[order].tolist(),
+                                  second[order].tolist(), concluded):
+                premises = (members[f], members[r])[:_AXIOM_CHECKS[axioms[k]][1]]
+                found[axioms[k]].append(Counterexample(axioms[k], premises, t))
     return AxiomReport({axiom: not cx for axiom, cx in found.items()},
                        tuple(cx for cxs in found.values() for cx in cxs))
 

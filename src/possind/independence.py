@@ -35,6 +35,7 @@ from .core import (
     check_eps,
     masks,
     triplet_count,
+    triplets_from_masks,
 )
 from .errors import BadTriplet, NotNormalised, OutOfRange, ScopeMismatch, TooLarge
 
@@ -390,8 +391,5 @@ def enumerate_relation(
         sizes = tuple(size for i, size in enumerate(dist.table.shape) if scope >> i & 1)
         if len(sizes) >= 2:
             groups.setdefault(sizes, []).append(scope)
-    members = frozenset(
-        Triplet.from_masks(names, *t)
-        for scopes in groups.values() for t in _scope_members(dist, conj, kind, eps, scopes)
-    )
-    return IndependenceRelation(dist.space, members)
+    rows = [t for scopes in groups.values() for t in _scope_members(dist, conj, kind, eps, scopes)]
+    return IndependenceRelation(dist.space, frozenset(triplets_from_masks(names, rows)))

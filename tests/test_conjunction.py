@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from possind import (
     Generator,
@@ -114,6 +116,12 @@ class TestConjoin:
         with pytest.raises(OutOfRange):
             Min().conjoin(1.1, 0.5)
 
+    @pytest.mark.parametrize("power", [0.5, 1.0, 2.0, 3.0])
+    def test_product_conjoin_survives_underflow(self, power):
+        # phi(1e-200) ** 2 underflows to 0; phi_inv(phi(a) * phi(b)) is a * b
+        got = ProductLike(Generator(power)).conjoin(0.5, 1e-200)
+        assert got == pytest.approx(5e-201, rel=1e-12, abs=0)
+
 
 class TestResiduum:
     def test_zero_conditioner_always_gives_one(self):
@@ -193,9 +201,8 @@ class TestResiduumOracle:
         [
             (Min(), 1e-200, 3e-201),
             (ProductLike(), 1e-200, 1e-201),
-            # phi(1e-200) underflows under pow=2, so the conjunction the
-            # oracle scans is 0 there; 1e-100 is the tiny degree it resolves
             (ProductLike(Generator(2.0)), 1e-100, 1e-101),
+            (ProductLike(Generator(2.0)), 1e-200, 1e-201),
         ],
         ids=str,
     )
@@ -203,12 +210,66 @@ class TestResiduumOracle:
         # a slack of 1e-12 absolute would admit every grid point and give 1.0
         assert residuum_oracle(conj, a, b) == pytest.approx(conj.residuum(a, b), abs=1e-4)
 
+    def test_product_under_a_power_generator_resolves_1e_200(self):
+        assert residuum_oracle(ProductLike(Generator(2.0)), 1e-200, 1e-201) == 0.1
+
     def test_min_scan(self):
         assert residuum_oracle(Min(), 0.9, 0.6, steps=1000) == pytest.approx(0.6, abs=1e-9)
 
     def test_invalid_steps(self):
         with pytest.raises(ValueError):
             residuum_oracle(Min(), 0.5, 0.5, steps=0)
+
+
+#: Degrees on a 1/1000 grid, or tiny: m * 10**-e down to 1e-300.
+degrees = st.one_of(
+    st.integers(0, 1000).map(lambda k: k / 1000),
+    st.builds(lambda m, e: m * 10.0**-e, st.integers(1, 9), st.integers(1, 300)),
+)
+
+
+@st.composite
+def conjunctions(draw):
+    """One of the five built-in families, the generator's power drawn from
+    0.05 to 20 for the Lukasiewicz-like and product-like ones."""
+    family = draw(st.sampled_from(("min", "luka", "prod", "luka:pow", "prod:pow")))
+    if family == "min":
+        return Min()
+    power = draw(st.floats(0.05, 20.0)) if family.endswith(":pow") else 1.0
+    kind = LukasiewiczLike if family.startswith("luka") else ProductLike
+    return kind(Generator(power))
+
+
+def phi_resolution(conj, x):
+    """How far a conjoined degree near x may exceed x by rounding alone: 0
+    for min and product-like families, whose results carry relative
+    rounding only.  The Lukasiewicz-like family adds phi-values to 1, so
+    its results are exact only to an absolute error in phi-space, of about
+    (power + 2) ulps of 1: the residuum's phi-value is a power of a rounded
+    number.  Under the identity generator that is about 7e-16, a relative
+    7e-6 at x = 1e-10."""
+    if not isinstance(conj, LukasiewiczLike):
+        return 0.0
+    g = conj.generator
+    return g.invert(min(1.0, g.apply(x) + (g.power + 2) * 2.0**-52)) - x
+
+
+class TestExtremePowersAndTinyDegrees:
+    @settings(max_examples=300, deadline=None)
+    @given(conj=conjunctions(), a=degrees, b=degrees)
+    def test_closed_form_agrees_with_the_oracle(self, conj, a, b):
+        # the oracle admits c(s, a) <= b * (1 + 1e-12), so a within that
+        # slack above b reads as b >= a
+        assume(not b < a <= b * (1 + 1e-12))
+        steps = 10_000
+        closed = conj.residuum(a, b)
+        assert abs(closed - residuum_oracle(conj, a, b, steps)) <= 1 / steps + 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(conj=conjunctions(), a=degrees, b=degrees)
+    def test_conjoining_the_residuum_stays_below_b(self, conj, a, b):
+        got = conj.conjoin(conj.residuum(a, b), a)
+        assert got <= b * (1 + 1e-12) + phi_resolution(conj, b)
 
 
 class TestParse:

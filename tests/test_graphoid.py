@@ -14,6 +14,7 @@ from possind import (
     SEMIGRAPHOID_AXIOMS,
     AxiomReport,
     Counterexample,
+    Distribution,
     FuzzConfig,
     IndependenceRelation,
     LukasiewiczLike,
@@ -156,18 +157,25 @@ relations4 = st.frozensets(st.sampled_from(TRIPLETS4)).flatmap(
 ).map(lambda members: IndependenceRelation(SPACE4, members))
 
 
+def assert_reports_equal_the_reference(rel):
+    """Every report of the relation, counterexample order included."""
+    for axioms, report in (
+        (GRAPHOID_AXIOMS, is_graphoid(rel)),
+        (SEMIGRAPHOID_AXIOMS, is_semigraphoid(rel)),
+        *(((axiom,), check_axiom(rel, axiom)) for axiom in AXIOMS),
+    ):
+        assert report == reference_report(rel, axioms)
+        assert list(report.verdicts) == list(axioms)
+
+
+SPACE5 = build_space([(f"X{i}", ("0", "1")) for i in range(1, 6)])
+
+
 class TestAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(rel=relations4)
     def test_reports_equal_the_brute_force_reference(self, rel):
-        for axioms, report in (
-            (GRAPHOID_AXIOMS, is_graphoid(rel)),
-            (SEMIGRAPHOID_AXIOMS, is_semigraphoid(rel)),
-            *(((axiom,), check_axiom(rel, axiom)) for axiom in AXIOMS),
-        ):
-            want = reference_report(rel, axioms)
-            assert report == want
-            assert list(report.verdicts) == list(axioms)
+        assert_reports_equal_the_reference(rel)
 
     def test_induced_relations_equal_the_brute_force_reference(self):
         for seed in range(4):
@@ -176,6 +184,39 @@ class TestAgainstReference:
                 for kind in RelationKind:
                     rel = enumerate_relation(dist, conj, kind)
                     assert is_graphoid(rel) == reference_report(rel, GRAPHOID_AXIOMS)
+
+    def test_five_variable_relations_equal_the_brute_force_reference(self):
+        full = IndependenceRelation(SPACE5, frozenset(enumerate_triplets(SPACE5)))
+        assert len(full) == 570
+        assert_reports_equal_the_reference(full)
+        for seed in (0, 1):
+            # X5 repeats X4, so no-interactivity loses intersection, and
+            # under luka weak union
+            table = random_distribution(SPACE5, grid=3, seed=seed).table.copy()
+            table[..., 0, 1] = table[..., 1, 0] = 0.0
+            table.flat[np.argmax(table)] = 1.0
+            dist = Distribution(SPACE5, SPACE5.names, table)
+            for conj in (Min(), ProductLike(), LukasiewiczLike()):
+                for kind in RelationKind:
+                    assert_reports_equal_the_reference(enumerate_relation(dist, conj, kind))
+
+    def test_empty_relation_equals_the_brute_force_reference(self):
+        assert_reports_equal_the_reference(IndependenceRelation(SPACE4, frozenset()))
+
+    def test_names_past_the_encoding_are_refused(self):
+        space = build_space([(f"V{i:02}", ("0", "1")) for i in range(32)])
+        names = space.names
+        fits = IndependenceRelation(space, frozenset({Triplet.of(names[:29], names[29:31])}))
+        assert_reports_equal_the_reference(fits)
+        assert is_graphoid(fits).failing() == ("symmetry", "decomposition", "weak_union")
+        past = IndependenceRelation(space, frozenset({Triplet.of(names[:30], names[30:])}))
+        with pytest.raises(TooLarge, match="32 variables; its encoding holds at most 31"):
+            is_graphoid(past)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rel=relations4)
+    def test_sorted_members_follow_sort_key(self, rel):
+        assert rel.sorted_members == tuple(sorted(rel.members, key=lambda t: t.sort_key))
 
 
 class TestLevels:
