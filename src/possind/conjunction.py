@@ -10,7 +10,8 @@ phi(0) = 0 and phi(1) = 1:
 
 The residuum of a conjunction is F(a, b) = sup{s in [0, 1] : c(s, a) <= b};
 conditioning a joint distribution on a marginal goes through it.  All
-operations accept scalars or numpy arrays and validate operand ranges.
+operations accept scalars or numpy arrays; the public ones validate operand
+ranges, the underscored kernels trust their callers.
 Boundary identities (0 annihilates, 1 is neutral, F(0, b) = 1) are forced
 exactly: the raw float formulas drift at the edges, e.g. (1 + a) - 1 != a
 for most a, and downstream normalisation flags rely on exact 1s.
@@ -75,8 +76,8 @@ def generator_invert(g: Generator, y):
 class Conjunction:
     """Continuous, monotone binary operation on [0, 1] with residuum.
 
-    Instances key distributions' memos of conditionals, so they must be
-    hashable; the three families are frozen dataclasses.
+    The library calls `_conjoin` and `_residuum` directly on degrees it has
+    already checked; `conjoin` and `residuum` check caller operands first.
     """
 
     def conjoin(self, a, b):

@@ -167,9 +167,9 @@ def build_space(variables: Iterable[tuple[str, Iterable[str]]]) -> Space:
 class Distribution:
     """Dense table of possibility degrees over the joint frames of a scope.
 
-    `normalised` is true when some entry equals 1 exactly.  Marginals and
-    conditionals are memoised per instance; every entry is a pure function
-    of the read-only table, so a race can only recompute an entry.
+    `normalised` is true when some entry equals 1 exactly.  Marginals are
+    memoised per instance; every entry is a pure function of the read-only
+    table, so a race can only recompute an entry.
     """
 
     def __init__(self, space: Space, scope, table):
@@ -188,7 +188,6 @@ class Distribution:
         self.table = arr
         self.normalised = bool(arr.max() == 1.0)
         self._lattice: dict[int, np.ndarray] = {(1 << len(scope)) - 1: arr}
-        self._conditional_memo: dict = {}  # conj -> {(x_mask, given_mask): table}
 
     def _marginal(self, mask: int) -> np.ndarray:
         """Lattice entry: the keepdims max-marginal onto `mask` (bit i is

@@ -49,6 +49,7 @@ from .core import (  # noqa: F401  (IndependenceRelation and enumerate_triplets
     triplet_count,
     triplets_from_masks,
 )
+from .errors import TooSmall
 from .independence import RelationKind, _check_relation_guard, enumerate_relation
 from .serialize import reproducer_document
 
@@ -350,6 +351,10 @@ def fuzz_properties(config: FuzzConfig) -> FuzzReport:
     serializing the offending distribution as a reproducer.
     """
     check_eps(config.eps)
+    if config.variables < 2:
+        raise TooSmall("fuzzing needs at least two variables")
+    if config.trials < 0:
+        raise ValueError(f"trials must be >= 0, got {config.trials}")
     _check_relation_guard(config.variables)
     space = _fuzz_space(config)
     failures: list[FuzzFailure] = []

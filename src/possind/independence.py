@@ -90,13 +90,8 @@ def _checked(conditional):
 
 
 def _conditional(dist: Distribution, conj: Conjunction, x: int, given: int) -> np.ndarray:
-    """Keepdims residuum(lattice[given], lattice[x | given]), memoised per conjunction."""
-    memo = dist._conditional_memo.setdefault(conj, {})
-    out = memo.get((x, given))
-    if out is None:
-        out = memo[(x, given)] = _checked(
-            conj.residuum(dist._marginal(given), dist._marginal(x | given)))
-    return out
+    """Keepdims residuum(lattice[given], lattice[x | given]), range-checked."""
+    return _checked(conj._residuum(dist._marginal(given), dist._marginal(x | given)))
 
 
 def condition(dist: Distribution, a, b, conj: Conjunction) -> Distribution:
@@ -137,11 +132,14 @@ def _side_pairs(kind, a, b, c):
     return ((a | b, c), (a, c), (b, c)),
 
 
-def _membership_sides(dist, conj, kind, a, b, c):
-    """Yield the (lhs, rhs) keepdims tables of each side in turn."""
+def _membership_sides(dist, conj, kind, a, b, c, memo):
+    """Yield the (lhs, rhs) keepdims tables of each side in turn; `memo` keeps conditionals."""
     for side in _side_pairs(kind, a, b, c):
-        lhs, *rhs = (_conditional(dist, conj, x, given) for x, given in side)
-        yield lhs, conj.conjoin(*rhs) if len(rhs) == 2 else rhs[0]
+        for pair in side:
+            if pair not in memo:
+                memo[pair] = _conditional(dist, conj, *pair)
+        lhs, *rhs = (memo[pair] for pair in side)
+        yield lhs, conj._conjoin(*rhs) if len(rhs) == 2 else rhs[0]
 
 
 def _membership(dist, t, conj, kind, eps) -> MembershipEvidence:
@@ -150,7 +148,7 @@ def _membership(dist, t, conj, kind, eps) -> MembershipEvidence:
     full = dist.space.subset(t.a | t.b | t.c)
     shape = dist.space.shape(full)
     witnesses: list[Witness] = []
-    for lhs, rhs in _membership_sides(dist, conj, kind, a, b, c):
+    for lhs, rhs in _membership_sides(dist, conj, kind, a, b, c, {}):
         # lhs spans a|b|c: broadcast rhs onto it, squeeze the axes outside
         lhs, rhs = (side.reshape(shape) for side in np.broadcast_arrays(lhs, rhs))
         witnesses.extend(
@@ -322,15 +320,15 @@ def _row_tables(k: int, kind: RelationKind):
     return tables[0], tables[1:]
 
 
-def _scope_members(dist, conj, kind, eps, scopes) -> list:
+def _scope_members(dist, conj, kind, eps, scopes, memo) -> list:
     """(a, b, c) masks of the members among the candidates whose a|b|c is
     one of `scopes`, scope masks whose axes have the same frame sizes.
 
     Small frames are evaluated in blocks of candidates from all the scopes
     at once, on marginals broadcast onto the scope's frame: each side in
     one residuum call, the next side only for the candidates that passed.
-    Large frames are evaluated one candidate at a time on the memoised
-    keepdims conditionals, as in_* does, stopping at the first failed side."""
+    Large frames are evaluated one candidate at a time on keepdims
+    conditionals kept in `memo`, as in_* does, stopping at the first failed side."""
     n = len(dist.scope)
     bits = np.array([[1 << i for i in range(n) if scope >> i & 1] for scope in scopes])
     k = bits.shape[1]
@@ -342,15 +340,15 @@ def _scope_members(dist, conj, kind, eps, scopes) -> list:
     if cells > CROSSOVER_CELLS:
         return [t for t in candidates.tolist()
                 if all(not np.max(np.abs(lhs - rhs)) > eps
-                       for lhs, rhs in _membership_sides(dist, conj, kind, *t))]
+                       for lhs, rhs in _membership_sides(dist, conj, kind, *t, memo))]
     marginals = np.empty((len(scopes), 1 << k, cells))
     for q, scope in enumerate(scopes):
         rows = marginals[q].reshape(1 << k, *dist._marginal(scope).shape)
         for x, mask in enumerate(spread[q].tolist()):
             rows[x] = dist._marginal(mask)
     # every left side conditions a whole scope: row (q, u) is (given u, total scopes[q])
-    lhs_rows = _checked(conj.residuum(marginals.reshape(-1, cells),
-                                      np.repeat(marginals[:, -1], 1 << k, axis=0)))
+    lhs_rows = _checked(conj._residuum(marginals.reshape(-1, cells),
+                                       np.repeat(marginals[:, -1], 1 << k, axis=0)))
     marginals = marginals.reshape(-1, cells)
     offsets = np.arange(len(scopes))[:, None, None, None] << k
     sides = [(side + offsets).reshape(-1, *side.shape[1:]) for side in sides]
@@ -361,9 +359,9 @@ def _scope_members(dist, conj, kind, eps, scopes) -> list:
         for side in sides:
             pairs = side[alive]
             given, total = pairs[:, 1:].reshape(-1, 2).T
-            rhs = _checked(conj.residuum(marginals[given], marginals[total]))
+            rhs = _checked(conj._residuum(marginals[given], marginals[total]))
             # a side with two right-side conditionals lists them in turn
-            rhs = conj.conjoin(rhs[0::2], rhs[1::2]) if pairs.shape[1] == 3 else rhs
+            rhs = conj._conjoin(rhs[0::2], rhs[1::2]) if pairs.shape[1] == 3 else rhs
             # not (max > eps): a NaN difference passes, as on the other route
             alive = alive[~(np.max(np.abs(lhs_rows[pairs[:, 0, 0]] - rhs), axis=1) > eps)]
         members += candidates[alive].tolist()
@@ -391,5 +389,7 @@ def enumerate_relation(
         sizes = tuple(size for i, size in enumerate(dist.table.shape) if scope >> i & 1)
         if len(sizes) >= 2:
             groups.setdefault(sizes, []).append(scope)
-    rows = [t for scopes in groups.values() for t in _scope_members(dist, conj, kind, eps, scopes)]
+    memo = {}  # conditionals shared by the scopes enumerated one triplet at a time
+    rows = [t for scopes in groups.values()
+            for t in _scope_members(dist, conj, kind, eps, scopes, memo)]
     return IndependenceRelation(dist.space, frozenset(triplets_from_masks(names, rows)))

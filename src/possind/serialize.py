@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .conjunction import Conjunction
 from .core import Distribution, build_space, make_distribution
-from .errors import FormatError
+from .errors import FormatError, OutOfRange
 
 
 def distribution_document(dist: Distribution) -> dict:
@@ -85,7 +85,11 @@ def parse_distribution(doc) -> Distribution:
         key = tuple(sorted(assignment.items()))
         _expect(key not in seen, f"duplicate assignment {assignment}")
         seen.add(key)
-        entries.append((assignment, float(degree)))
+        try:
+            degree = float(degree)
+        except OverflowError:
+            raise OutOfRange("a possibility degree is too large for a float") from None
+        entries.append((assignment, degree))
     return make_distribution(space, space.names, entries)
 
 

@@ -192,6 +192,16 @@ class TestFuzz:
     def test_usage_error_on_bad_frame(self, capsys):
         assert main(["fuzz", "--trials", "1", "--frame", "0"]) == 2
 
+    @pytest.mark.parametrize("variables", ["1", "0", "-2"])
+    def test_usage_error_on_too_few_variables(self, capsys, variables):
+        # every relation over fewer than two variables is empty
+        assert main(["fuzz", "--trials", "3", "--vars", variables]) == 2
+        assert "at least two variables" in capsys.readouterr().err
+
+    def test_usage_error_on_negative_trials(self, capsys):
+        assert main(["fuzz", "--trials", "-5"]) == 2
+        assert "trials must be >= 0" in capsys.readouterr().err
+
     def test_oversized_table_exits_two(self, capsys):
         # 100**8 cells would need 800 PB
         assert main(["fuzz", "--trials", "1", "--vars", "8", "--frame", "100"]) == 2
@@ -237,6 +247,11 @@ class TestErrorsAndDeterminism:
         path = tmp_path / "bad.json"
         path.write_text('{"variables": "nope"}')
         assert main(["marginalize", "--dist", str(path), "--keep", "X1"]) == 2
+        # a 401-digit degree does not fit a float
+        path.write_text('{"variables": [{"name": "X1", "frame": ["0"]}], "values": '
+                        '[{"assignment": {"X1": "0"}, "possibility": 1' + "0" * 400 + "}]}")
+        assert main(["marginalize", "--dist", str(path), "--keep", "X1"]) == 2
+        assert "too large for a float" in capsys.readouterr().err
 
     def test_oversized_document_exits_two(self, tmp_path, capsys):
         # 2**50 cells would need 8 PiB

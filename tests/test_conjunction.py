@@ -113,8 +113,14 @@ class TestConjoin:
         assert np.array_equal(out, [0.2, 0.3])
 
     def test_range_validation(self):
-        with pytest.raises(OutOfRange):
-            Min().conjoin(1.1, 0.5)
+        # the public operations are the only checks on caller operands
+        for conj in FAMILIES:
+            for op in (conj.conjoin, conj.residuum):
+                for bad in (-0.1, 1.1, float("nan")):
+                    with pytest.raises(OutOfRange):
+                        op(bad, 0.5)
+                    with pytest.raises(OutOfRange):
+                        op(0.5, bad)
 
     @pytest.mark.parametrize("power", [0.5, 1.0, 2.0, 3.0])
     def test_product_conjoin_survives_underflow(self, power):

@@ -22,6 +22,7 @@ from possind import (
     ProductLike,
     RelationKind,
     TooLarge,
+    TooSmall,
     Triplet,
     build_space,
     check_axiom,
@@ -340,6 +341,13 @@ class TestFuzz:
     def test_guard_rejects_huge_spaces(self):
         with pytest.raises(TooLarge):
             fuzz_properties(FuzzConfig(trials=1, variables=9))
+
+    def test_too_few_variables_and_negative_trials_rejected(self):
+        for variables in (1, 0, -2):
+            with pytest.raises(TooSmall):
+                fuzz_properties(FuzzConfig(trials=3, variables=variables))
+        with pytest.raises(ValueError):
+            fuzz_properties(FuzzConfig(trials=-5))
 
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
     def test_bad_eps_rejected(self, eps):

@@ -476,8 +476,8 @@ def evidence_record(dist, t, conj):
 
 
 class TestRoutesAgree:
-    """Enumeration and the witness-building tests share one memo of
-    conditionals per distribution; neither may change a verdict."""
+    """Enumeration and the witness-building tests reach the same verdicts,
+    on one shared distribution and on fresh ones."""
 
     @pytest.mark.parametrize("kind", list(RelationKind), ids=lambda k: k.value)
     @pytest.mark.parametrize("conj", ROUTE_FAMILIES, ids=str)
@@ -543,6 +543,15 @@ class OutOfUnit(Hamacher):
         return 1.5
 
 
+@dataclass(eq=True)
+class UnhashableHamacher(Conjunction):
+    """Hamacher as a mutable dataclass: eq=True without frozen sets __hash__ to None."""
+
+    _conjoin = Hamacher._conjoin
+    _residuum = Hamacher._residuum
+    spec_string = Hamacher.spec_string
+
+
 class TestCustomConjunction:
     @pytest.mark.parametrize("kind", list(RelationKind), ids=lambda k: k.value)
     def test_enumeration_equals_membership_tests(self, kind):
@@ -559,10 +568,34 @@ class TestCustomConjunction:
     @pytest.mark.parametrize("frame", [2, 50], ids=["blocks", "one-by-one"])
     @pytest.mark.parametrize("kind", list(RelationKind), ids=lambda k: k.value)
     def test_out_of_range_conditionals_are_refused(self, frame, kind):
+        test = in_independence if kind is RelationKind.INDEPENDENCE else in_noninteractivity
         space = build_space([(f"X{i + 1}", [str(v) for v in range(frame)]) for i in range(2)])
         dist = random_distribution(space, seed=0)
         with pytest.raises(OutOfRange):
             enumerate_relation(dist, OutOfUnit(), kind)
+        with pytest.raises(OutOfRange):
+            test(dist, Triplet.of("X1", "X2"), OutOfUnit())
+        with pytest.raises(OutOfRange):
+            condition(dist, "X1", "X2", OutOfUnit())
+
+    @pytest.mark.parametrize("f", [12, 13], ids=["blocks", "one-by-one"])
+    def test_unhashable_conjunction_answers_as_its_hashable_twin(self, f):
+        # the Hamacher product of an X1 factor and an X2,X3 factor, on
+        # frames either side of the crossover as in crossover_tables
+        rng = np.random.default_rng(0)
+        space = build_space([(f"X{i + 1}", [str(v) for v in range(f)]) for i in range(3)])
+        table = Hamacher().conjoin(_factor(rng, (f, 1, 1)), _factor(rng, (1, f, f)))
+        dist = Distribution(space, space.names, table)
+        for kind in RelationKind:
+            relation = enumerate_relation(dist, UnhashableHamacher(), kind)
+            assert relation == enumerate_relation(dist, Hamacher(), kind)
+            assert relation
+        for t in enumerate_triplets(space):
+            assert evidence_record(dist, t, UnhashableHamacher()) == evidence_record(
+                dist, t, Hamacher())
+            given = t.b | t.c
+            assert np.array_equal(condition(dist, t.a, given, UnhashableHamacher()).table,
+                                  condition(dist, t.a, given, Hamacher()).table)
 
 
 class TestEpsValidation:

@@ -99,10 +99,12 @@ class TestParsing:
             parse_distribution([1, 2, 3])
 
     def test_out_of_range_degree_rejected(self):
-        doc = self.base_doc()
-        doc["values"][1]["possibility"] = 1.5
-        with pytest.raises(OutOfRange):
-            parse_distribution(doc)
+        # 10**400 is an integer too large for a float
+        for degree in (1.5, 10**400):
+            doc = self.base_doc()
+            doc["values"][1]["possibility"] = degree
+            with pytest.raises(OutOfRange):
+                parse_distribution(doc)
 
     def test_assignment_must_cover_all_variables(self):
         doc = self.base_doc()
