@@ -210,7 +210,7 @@ def _cmd_examples(args):
     return (0 if all_ok else 1), all_ok, {"checks": doc}, [], []
 
 
-def _add_common(sub, *, dist=False, conj=False, relation=False, eps=True, json_out=True):
+def _add_common(sub, *, dist=False, conj=False, relation=False, eps=True):
     if dist:
         sub.add_argument("--dist", required=True, help="distribution JSON file")
     if conj:
@@ -224,8 +224,7 @@ def _add_common(sub, *, dist=False, conj=False, relation=False, eps=True, json_o
         )
     if eps:
         sub.add_argument("--eps", type=float, default=EPS, help="comparison tolerance")
-    if json_out:
-        sub.add_argument("--json", help="write a machine-readable report to this path")
+    sub.add_argument("--json", help="write a machine-readable report to this path")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -284,10 +283,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built once per process; each parse_args call returns a fresh Namespace.
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return 0 if code in (0, None) else 2
@@ -295,28 +297,27 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code, verdict, results, witnesses, counterexamples = args.handler(args)
+        if args.json:
+            inputs = {
+                k: v
+                for k, v in sorted(vars(args).items())
+                if k not in ("handler", "json") and v is not None
+            }
+            report = {
+                "verb": args.verb,
+                "inputs": inputs,
+                "verdict": verdict,
+                "results": results,
+                "witnesses": witnesses,
+                "counterexamples": counterexamples,
+                "timing_ms": int(round((time.perf_counter() - started) * 1000)),
+            }
+            Path(args.json).write_text(
+                json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            )
     except (PossindError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if getattr(args, "json", None):
-        inputs = {
-            k: v
-            for k, v in sorted(vars(args).items())
-            if k not in ("handler", "json") and v is not None
-        }
-        report = {
-            "verb": args.verb,
-            "inputs": inputs,
-            "verdict": verdict,
-            "results": results,
-            "witnesses": witnesses,
-            "counterexamples": counterexamples,
-            "timing_ms": int(round((time.perf_counter() - started) * 1000)),
-        }
-        Path(args.json).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
     return code
 
 

@@ -15,20 +15,22 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .conjunction import Conjunction
-from .core import Distribution, build_space, make_distribution
+from .core import Distribution, build_space
 from .errors import FormatError, OutOfRange
 
 
 def distribution_document(dist: Distribution) -> dict:
     """Serializable document for a distribution; zero entries are omitted."""
-    variables = [
-        {"name": name, "frame": list(dist.space.frame(name))} for name in dist.scope
-    ]
+    frames = [dist.space.frame(name) for name in dist.scope]
+    variables = [{"name": name, "frame": list(f)} for name, f in zip(dist.scope, frames)]
+    table = dist.table
+    # argwhere, unlike unravelling flatnonzero, also indexes the 0-d table of the empty scope
     values = [
-        {"assignment": assignment, "possibility": value}
-        for assignment, value in dist.items()
-        if value != 0.0
+        {"assignment": {n: f[i] for n, f, i in zip(dist.scope, frames, idx)}, "possibility": value}
+        for idx, value in zip(np.argwhere(table).tolist(), table[table != 0.0].tolist())
     ]
     return {"variables": variables, "values": values}
 
@@ -46,8 +48,17 @@ def _expect(condition: bool, message: str) -> None:
         raise FormatError(message)
 
 
+def _numeric(kind: type) -> bool:
+    """Whether a degree of this type is accepted: int and float, not bool."""
+    return issubclass(kind, (int, float)) and not issubclass(kind, bool)
+
+
 def parse_distribution(doc) -> Distribution:
-    """Build a distribution from a parsed document; scope is every listed variable."""
+    """Build a distribution from a parsed document; scope is every listed variable.
+
+    The size guard is checked before any row is read.  The rows are read
+    in one pass; when one is faulty, the first faulty row names the error.
+    """
     _expect(isinstance(doc, dict), "document must be a JSON object")
     variables = doc.get("variables")
     _expect(isinstance(variables, list), "'variables' must be a list")
@@ -64,10 +75,42 @@ def parse_distribution(doc) -> Distribution:
         )
         pairs.append((entry["name"], frame))
     space = build_space(pairs)
+    shape = space.shape(space.names)
 
     values = doc.get("values", [])
     _expect(isinstance(values, list), "'values' must be a list")
-    entries = []
+    # a row's flat index is the sum over variables of position * stride
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1].tolist()
+    offsets = [(name, {v: i * stride for i, v in enumerate(space.frame(name))})
+               for name, stride in zip(space.names, strides)]
+    cells, degrees = [], []
+    # any fault ends this pass, and _raise_row_error names the first faulty row
+    try:
+        for row in values:
+            assignment = row["assignment"]
+            if not (isinstance(row, dict) and isinstance(assignment, dict)
+                    and len(assignment) == len(offsets)):
+                raise KeyError("a row without an assignment of exactly the scope")
+            cell = 0
+            for name, offset in offsets:
+                cell += offset[assignment[name]]
+            cells.append(cell)
+            degrees.append(row["possibility"])
+        if not all(map(_numeric, set(map(type, degrees)))):
+            raise TypeError("a degree that is not a number")
+        if len(set(cells)) < len(cells):
+            raise ValueError("an assignment listed twice")
+        table = np.zeros(shape)
+        table.flat[cells] = degrees
+        return Distribution(space, space.names, table)
+    except (KeyError, TypeError, ValueError, OverflowError, OutOfRange):
+        _raise_row_error(values, space)
+        raise
+
+
+def _raise_row_error(values, space) -> None:
+    """Raise the error of the first faulty row.  Each row's checks run in
+    a fixed order, which decides the error of a row with several faults."""
     seen = set()
     for row in values:
         _expect(isinstance(row, dict), "each value row must be an object")
@@ -78,10 +121,7 @@ def parse_distribution(doc) -> Distribution:
             "each row needs an 'assignment' object mapping names to frame values",
         )
         degree = row.get("possibility")
-        _expect(
-            isinstance(degree, (int, float)) and not isinstance(degree, bool),
-            "each row needs a numeric 'possibility'",
-        )
+        _expect(_numeric(type(degree)), "each row needs a numeric 'possibility'")
         key = tuple(sorted(assignment.items()))
         _expect(key not in seen, f"duplicate assignment {assignment}")
         seen.add(key)
@@ -89,8 +129,9 @@ def parse_distribution(doc) -> Distribution:
             degree = float(degree)
         except OverflowError:
             raise OutOfRange("a possibility degree is too large for a float") from None
-        entries.append((assignment, degree))
-    return make_distribution(space, space.names, entries)
+        if not 0.0 <= degree <= 1.0:
+            raise OutOfRange(f"degree {degree} outside [0, 1]")
+        space.indices(assignment, space.names)
 
 
 def load_distribution(path) -> Distribution:
@@ -100,6 +141,8 @@ def load_distribution(path) -> Distribution:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError:
+        raise FormatError(f"{path}: nested too deeply to parse") from None
     return parse_distribution(doc)
 
 

@@ -1,9 +1,14 @@
 """Exit codes, stdout shape and JSON reports of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import possind
 from possind import dump_distribution, make_distribution
 from possind.cli import main
 
@@ -291,3 +296,56 @@ class TestErrorsAndDeterminism:
         for report in reports:
             report.pop("timing_ms")
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_report_path_exits_two(self, one_sided_file, tmp_path, target, capsys):
+        code = main([
+            "marginalize", "--dist", one_sided_file, "--keep", "X3",
+            "--json", str(tmp_path / target),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "X3=0 -> 0.9" in captured.out
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_deeply_nested_document_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        assert main(["marginalize", "--dist", str(path), "--keep", "X1"]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+    def test_repeated_frame_value_exits_two(self, tmp_path, capsys):
+        assert "DuplicateValue" in possind.__all__
+        assert issubclass(possind.DuplicateValue, possind.PossindError)
+        path = tmp_path / "repeat.json"
+        path.write_text(json.dumps({"variables": [{"name": "X1", "frame": ["0", "0"]}]}))
+        assert main(["marginalize", "--dist", str(path), "--keep", "X1"]) == 2
+        assert "repeats a frame value" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_a_fresh_process(self, one_sided_file, tmp_path, capsys):
+        valid = ["independent", "--dist", one_sided_file, "--a", "X1", "--b", "X2",
+                 "--c", "X3", "--conj", "min", "--relation", "independence"]
+        assert main(["independent", "--dist", one_sided_file, "--a", "X1"]) == 2
+        assert main(valid + ["--json", str(tmp_path / "first.json")]) == 1
+        first_out = capsys.readouterr().out
+        assert main(["--help"]) == 0
+        assert main(["independent", "--help"]) == 0
+        capsys.readouterr()
+        assert main(valid + ["--json", str(tmp_path / "second.json")]) == 1
+        assert capsys.readouterr().out == first_out
+
+        env = dict(os.environ, PYTHONPATH=str(Path(possind.__file__).parents[1]))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "possind.cli", *valid, "--json", str(tmp_path / "fresh.json")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert fresh.returncode == 1
+        assert fresh.stdout == first_out
+        reports = [json.loads((tmp_path / f"{name}.json").read_text())
+                   for name in ("first", "second", "fresh")]
+        for report in reports:
+            report.pop("timing_ms")
+        assert reports[0] == reports[1] == reports[2]

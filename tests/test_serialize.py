@@ -6,16 +6,24 @@ import numpy as np
 import pytest
 
 from possind import (
+    Distribution,
     FormatError,
     LukasiewiczLike,
     OutOfRange,
     ScopeMismatch,
+    TooLarge,
+    build_space,
     distribution_document,
     dump_distribution,
     load_distribution,
+    make_distribution,
     parse_distribution,
     reproducer_document,
 )
+
+#: frames of sizes 3, 4 and 2, so a flat index mixes three radices
+SPACE342 = build_space([("A", ("a0", "a1", "a2")), ("B", ("b0", "b1", "b2", "b3")),
+                        ("C", ("c0", "c1"))])
 
 
 class TestRoundTrip:
@@ -38,6 +46,22 @@ class TestRoundTrip:
         doc = distribution_document(two_peak)
         assert doc["variables"][0] == {"name": "X1", "frame": ["0", "2"]}
         assert doc["variables"][1] == {"name": "X2", "frame": ["-1", "1"]}
+
+    def test_document_lists_exactly_the_nonzero_cells(self):
+        table = np.random.default_rng(4).integers(0, 3, (3, 4, 2)) / 2
+        dist = Distribution(SPACE342, SPACE342.names, table)
+        doc = distribution_document(dist)
+        # reference: every cell through items(), zeros dropped afterwards
+        want = [{"assignment": a, "possibility": v} for a, v in dist.items() if v != 0.0]
+        assert 0 < len(want) < table.size
+        assert json.dumps(doc["values"]) == json.dumps(want)
+        assert np.array_equal(parse_distribution(doc).table, table)
+
+    def test_empty_scope_document(self):
+        dist = Distribution(build_space([]), (), 0.5)
+        doc = distribution_document(dist)
+        assert doc == {"variables": [], "values": [{"assignment": {}, "possibility": 0.5}]}
+        assert parse_distribution(doc).table.tobytes() == dist.table.tobytes()
 
     def test_reproducer_document_carries_conjunction_and_seed(self, two_peak):
         doc = reproducer_document(two_peak, LukasiewiczLike(), 31, trial=4)
@@ -135,3 +159,115 @@ class TestParsing:
         dump_distribution(load_distribution(first), second)
         assert first.read_text() == second.read_text()
         json.loads(first.read_text())  # stays valid JSON
+
+
+def _set_row(i, **fields):
+    def mutate(doc):
+        doc["values"][i] = {**doc["values"][i], **fields}
+    return mutate
+
+
+def _set_value(i, name, value):
+    def mutate(doc):
+        doc["values"][i]["assignment"][name] = value
+    return mutate
+
+
+ASSIGNMENT_MESSAGE = "each row needs an 'assignment' object mapping names to frame values"
+DEGREE_MESSAGE = "each row needs a numeric 'possibility'"
+
+
+class TestRowFaults:
+    """One faulty row among valid ones: the error class and message are fixed."""
+
+    def doc(self):
+        return {
+            "variables": [{"name": "A", "frame": ["0", "1"]}, {"name": "B", "frame": ["0", "1"]}],
+            "values": [
+                {"assignment": {"A": "0", "B": "0"}, "possibility": 1.0},
+                {"assignment": {"A": "1", "B": "0"}, "possibility": 0.5},
+                {"assignment": {"A": "1", "B": "1"}, "possibility": 0.25},
+            ],
+        }
+
+    @pytest.mark.parametrize(
+        "mutate, error, message",
+        [
+            (lambda d: d["values"].__setitem__(1, ["A", "1"]),
+             FormatError, "each value row must be an object"),
+            (lambda d: d["values"][1].pop("assignment"), FormatError, ASSIGNMENT_MESSAGE),
+            (_set_row(1, assignment=[["A", "1"], ["B", "0"]]), FormatError, ASSIGNMENT_MESSAGE),
+            (_set_row(1, assignment={"A": "1", 2: "0"}), FormatError, ASSIGNMENT_MESSAGE),
+            (_set_value(1, "B", 0), FormatError, ASSIGNMENT_MESSAGE),
+            (_set_value(1, "B", ["0"]), FormatError, ASSIGNMENT_MESSAGE),
+            (_set_value(1, "B", "7"), ScopeMismatch, "'7' is not in the frame of 'B'"),
+            (_set_row(1, assignment={"A": "1"}),
+             ScopeMismatch, "assignment binds ['A'], expected exactly ['A', 'B']"),
+            (_set_row(1, assignment={"A": "1", "B": "0", "C": "0"}),
+             ScopeMismatch, "assignment binds ['A', 'B', 'C'], expected exactly ['A', 'B']"),
+            (lambda d: d["values"][1].pop("possibility"), FormatError, DEGREE_MESSAGE),
+            (_set_row(1, possibility=True), FormatError, DEGREE_MESSAGE),
+            (_set_row(1, possibility="0.5"), FormatError, DEGREE_MESSAGE),
+            (_set_row(1, possibility=None), FormatError, DEGREE_MESSAGE),
+            (_set_row(1, possibility=np.float32(0.5)), FormatError, DEGREE_MESSAGE),
+            (_set_row(1, possibility=1.5), OutOfRange, "degree 1.5 outside [0, 1]"),
+            (_set_row(1, possibility=-0.5), OutOfRange, "degree -0.5 outside [0, 1]"),
+            (_set_row(1, possibility=float("nan")), OutOfRange, "degree nan outside [0, 1]"),
+            (_set_row(1, possibility=10**400),
+             OutOfRange, "a possibility degree is too large for a float"),
+            (_set_row(2, assignment={"B": "0", "A": "1"}),
+             FormatError, "duplicate assignment {'B': '0', 'A': '1'}"),
+        ],
+    )
+    def test_single_fault(self, mutate, error, message):
+        doc = self.doc()
+        mutate(doc)
+        with pytest.raises(error) as info:
+            parse_distribution(doc)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_first_faulty_row_decides(self):
+        doc = self.doc()
+        doc["values"][1]["possibility"] = 2.0
+        doc["values"][2]["assignment"] = {"A": "1", "B": "9"}
+        doc["values"].append(doc["values"][0])
+        with pytest.raises(OutOfRange, match=r"degree 2\.0 outside"):
+            parse_distribution(doc)
+
+    def test_size_guard_fires_before_any_row(self):
+        doc = {"variables": [{"name": f"X{i}", "frame": ["0", "1"]} for i in range(50)],
+               "values": [["not", "a", "row"]]}
+        with pytest.raises(TooLarge):
+            parse_distribution(doc)
+
+
+class TestParsedTables:
+    """Parsed tables are bit-identical to make_distribution's on the same rows."""
+
+    @pytest.mark.parametrize(
+        "degrees",
+        [
+            [1, 0, 1, 0],
+            [1.0, 0.5, 0.1, 0.7],
+            [np.float64(0.3), 1, np.float64(1.0), 0.2],
+            [-0.0, 1.0, 1e-300, 0.9999999999999999],
+        ],
+    )
+    def test_matches_make_distribution(self, degrees):
+        cells = list(SPACE342.assignments())
+        order = np.random.default_rng(len(cells)).permutation(len(cells))
+        entries = [(cells[k], d) for k, d in zip(order[:len(degrees)], degrees)]
+        doc = {
+            "variables": [{"name": n, "frame": list(f)} for n, f in SPACE342.variables],
+            "values": [{"assignment": a, "possibility": d} for a, d in entries],
+        }
+        want = make_distribution(SPACE342, SPACE342.names, entries)
+        got = parse_distribution(doc)
+        assert got.space == want.space and got.scope == want.scope
+        assert got.table.tobytes() == want.table.tobytes()
+        assert got.normalised == want.normalised
+
+    def test_no_rows_is_the_zero_table(self):
+        doc = {"variables": [{"name": n, "frame": list(f)} for n, f in SPACE342.variables]}
+        assert not parse_distribution(doc).table.any()
