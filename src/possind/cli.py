@@ -10,7 +10,6 @@ its fields are deterministic for identical inputs except `timing_ms`.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -27,7 +26,7 @@ from .independence import (
     in_independence,
     in_noninteractivity,
 )
-from .serialize import distribution_document, load_distribution
+from .serialize import distribution_document, load_distribution, write_json
 
 _PRINT_CAP = 10  # stdout truncation; JSON reports always carry everything
 
@@ -144,7 +143,8 @@ def _cmd_axioms(args):
 
 
 def _cmd_fuzz(args):
-    conjunctions = tuple(parse_conjunction(s) for s in (args.conj or ["min", "luka", "prod"]))
+    # without --conj, FuzzConfig's default families apply
+    families = {"conjunctions": tuple(map(parse_conjunction, args.conj))} if args.conj else {}
     config = FuzzConfig(
         trials=args.trials,
         variables=args.vars,
@@ -152,9 +152,9 @@ def _cmd_fuzz(args):
         grid=args.grid,
         seed=args.seed,
         strictly_positive=args.positive,
-        conjunctions=conjunctions,
         eps=args.eps,
         reproducer_dir=Path(args.out) if args.out else None,
+        **families,
     )
     report = fuzz_properties(config)
     print(
@@ -312,9 +312,7 @@ def main(argv=None) -> int:
                 "counterexamples": counterexamples,
                 "timing_ms": int(round((time.perf_counter() - started) * 1000)),
             }
-            Path(args.json).write_text(
-                json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            write_json(report, args.json)
     except (PossindError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -112,14 +112,6 @@ class Space:
             raise TooLarge(f"{math.prod(shape)} table cells exceed the guard of {TABLE_GUARD}")
         return shape
 
-    def axes(self, scope, names) -> tuple[int, ...]:
-        """Positions within `scope` of the variables in `names`."""
-        wanted = set(_as_names(names))
-        unknown = wanted - set(scope)
-        if unknown:
-            raise ScopeMismatch(f"{sorted(unknown)} not in scope {scope}")
-        return tuple(i for i, n in enumerate(scope) if n in wanted)
-
     def indices(self, assignment: Mapping[str, str], scope) -> tuple[int, ...]:
         """Table index of an assignment that binds exactly the scope."""
         if set(assignment) != set(scope):
@@ -255,7 +247,10 @@ def make_distribution(space: Space, scope, entries=()) -> Distribution:
     scope = space.subset(scope)
     table = np.zeros(space.shape(scope))
     for assignment, value in entries:
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise OutOfRange("a possibility degree is too large for a float") from None
         if not 0.0 <= value <= 1.0:
             raise OutOfRange(f"degree {value} outside [0, 1]")
         table[space.indices(assignment, scope)] = value

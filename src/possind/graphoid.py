@@ -31,27 +31,24 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from .conjunction import Conjunction, LukasiewiczLike, default_families
-from .core import (  # noqa: F401  (IndependenceRelation and enumerate_triplets
-    EPS,            # are part of this module's surface)
+from .core import (
+    EPS,
     Distribution,
     IndependenceRelation,
     Space,
     Triplet,
     build_space,
     check_eps,
-    enumerate_triplets,
-    triplet_count,
     triplets_from_masks,
 )
 from .errors import TooSmall
 from .independence import RelationKind, _check_relation_guard, enumerate_relation
-from .serialize import reproducer_document
+from .serialize import reproducer_document, write_json
 
 import numpy as np
 
@@ -334,7 +331,7 @@ def _write_reproducer(config, failure: FuzzFailure) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     safe = failure.conjunction.replace(":", "-").replace("=", "-")
     path = directory / f"possind-reproducer-trial{failure.trial}-{safe}.json"
-    path.write_text(json.dumps(failure.reproducer, indent=2, sort_keys=True) + "\n")
+    write_json(failure.reproducer, path)
     failure.path = str(path)
 
 

@@ -18,7 +18,6 @@ against each other.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -83,10 +82,12 @@ class MembershipEvidence:
         return self.verdict
 
 
-def _checked(conditional):
-    if not np.all((conditional >= 0.0) & (conditional <= 1.0)):
+def _checked(degrees):
+    """`degrees` if all lie in [0, 1]; OutOfRange otherwise, NaN included."""
+    # logical_and gives a numpy bool, with .all(), for a scalar too
+    if not np.logical_and(degrees >= 0.0, degrees <= 1.0).all():
         raise OutOfRange("conditional degrees must lie in [0, 1]")
-    return conditional
+    return degrees
 
 
 def _conditional(dist: Distribution, conj: Conjunction, x: int, given: int) -> np.ndarray:
@@ -139,7 +140,7 @@ def _membership_sides(dist, conj, kind, a, b, c, memo):
             if pair not in memo:
                 memo[pair] = _conditional(dist, conj, *pair)
         lhs, *rhs = (memo[pair] for pair in side)
-        yield lhs, conj._conjoin(*rhs) if len(rhs) == 2 else rhs[0]
+        yield lhs, _checked(conj._conjoin(*rhs)) if len(rhs) == 2 else rhs[0]
 
 
 def _membership(dist, t, conj, kind, eps) -> MembershipEvidence:
@@ -268,41 +269,30 @@ def construct_luka_instance(
         raise ValueError("grid must be >= 1")
     rng = np.random.default_rng(seed)
     k_min = next(k for k in range(grid + 1) if generator.apply(k / grid) >= 0.5)
+    full = space.subset(t.a | t.b | t.c)
+    shape = space.shape(full)
 
-    c_scope = space.subset(t.c)
-    h = np.asarray(rng.integers(k_min, grid + 1, size=space.shape(c_scope)), dtype=float)
-    h /= grid
+    def draw(names):
+        """Grid values over the axes of `names`, keepdims on the frame of full."""
+        size = [n if v in names else 1 for v, n in zip(full, shape)]
+        return rng.integers(k_min, grid + 1, size=size) / grid
+
+    h = draw(t.c)
     h.flat[rng.integers(0, h.size)] = 1.0
 
-    f_a = _draw_factor(rng, space, space.subset(t.a | t.c), c_scope, h, k_min, grid)
-    f_b = _draw_factor(rng, space, space.subset(t.b | t.c), c_scope, h, k_min, grid)
+    def factor(part):
+        # cap every c-slice at its target maximum, then pin one random cell to it
+        vals = np.minimum(draw(part | t.c), h)
+        axes = [i for i, v in enumerate(full) if v in part]
+        idx = np.indices(h.shape).reshape(len(full), -1)
+        pins = rng.integers(0, vals.size // h.size, size=h.size)
+        idx[axes] = np.unravel_index(pins, [shape[i] for i in axes])
+        vals[tuple(idx)] = h.ravel()
+        return vals
 
-    full = space.subset(t.a | t.b | t.c)
-    conj = LukasiewiczLike(generator)
-    table = conj.conjoin(f_a.extend(full).table, f_b.extend(full).table)
+    # arguments are evaluated in order, so a's draws come before b's
+    table = LukasiewiczLike(generator)._conjoin(factor(t.a), factor(t.b))
     return Distribution(space, full, table), t
-
-
-def _draw_factor(rng, space, scope, c_scope, h, k_min, grid) -> Distribution:
-    shape = space.shape(scope)
-    vals = np.asarray(rng.integers(k_min, grid + 1, size=shape), dtype=float) / grid
-    c_axes = space.axes(scope, c_scope)
-    free_axes = tuple(i for i in range(len(scope)) if i not in set(c_axes))
-    # cap every c-slice at its target maximum, then pin one random cell to it
-    h_ext = np.expand_dims(h, axis=free_axes)
-    vals = np.minimum(vals, h_ext)
-    free_shape = tuple(shape[i] for i in free_axes)
-    n_free = int(np.prod(free_shape, dtype=int)) if free_shape else 1
-    for c_idx in np.ndindex(h.shape):
-        flat = int(rng.integers(0, n_free))
-        free_idx = np.unravel_index(flat, free_shape)
-        idx = [0] * len(scope)
-        for pos, ax in zip(c_idx, c_axes):
-            idx[ax] = pos
-        for pos, ax in zip(free_idx, free_axes):
-            idx[ax] = int(pos)
-        vals[tuple(idx)] = h[c_idx]
-    return Distribution(space, scope, vals)
 
 
 @functools.cache
@@ -339,7 +329,7 @@ def _scope_members(dist, conj, kind, eps, scopes, memo) -> list:
     cells = dist._marginal(scopes[0]).size
     if cells > CROSSOVER_CELLS:
         return [t for t in candidates.tolist()
-                if all(not np.max(np.abs(lhs - rhs)) > eps
+                if all(np.max(np.abs(lhs - rhs)) <= eps
                        for lhs, rhs in _membership_sides(dist, conj, kind, *t, memo))]
     marginals = np.empty((len(scopes), 1 << k, cells))
     for q, scope in enumerate(scopes):
@@ -361,9 +351,10 @@ def _scope_members(dist, conj, kind, eps, scopes, memo) -> list:
             given, total = pairs[:, 1:].reshape(-1, 2).T
             rhs = _checked(conj._residuum(marginals[given], marginals[total]))
             # a side with two right-side conditionals lists them in turn
-            rhs = conj._conjoin(rhs[0::2], rhs[1::2]) if pairs.shape[1] == 3 else rhs
-            # not (max > eps): a NaN difference passes, as on the other route
-            alive = alive[~(np.max(np.abs(lhs_rows[pairs[:, 0, 0]] - rhs), axis=1) > eps)]
+            if pairs.shape[1] == 3:
+                rhs = _checked(conj._conjoin(rhs[0::2], rhs[1::2]))
+            # both sides are range-checked, so no NaN reaches the comparison
+            alive = alive[np.max(np.abs(lhs_rows[pairs[:, 0, 0]] - rhs), axis=1) <= eps]
         members += candidates[alive].tolist()
     return members
 

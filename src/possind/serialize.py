@@ -146,7 +146,12 @@ def load_distribution(path) -> Distribution:
     return parse_distribution(doc)
 
 
+def write_json(doc, path) -> None:
+    """Write a document as indented JSON with sorted keys: the layout of every
+    file the package writes (distributions, reproducers and reports)."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def dump_distribution(dist: Distribution, path) -> None:
     """Write a distribution document to a JSON file."""
-    doc = distribution_document(dist)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(distribution_document(dist), path)

@@ -108,6 +108,11 @@ class TestMakeDistribution:
         with pytest.raises(OutOfRange):
             make_distribution(SPACE3, SPACE3.names, [({"X1": "0", "X2": "0", "X3": "0"}, 1.5)])
 
+    def test_degree_too_large_for_a_float_rejected(self):
+        # float(10**400) raises OverflowError; parse_distribution says the same
+        with pytest.raises(OutOfRange, match="too large for a float"):
+            make_distribution(SPACE3, SPACE3.names, [({"X1": "0", "X2": "0", "X3": "0"}, 10**400)])
+
     def test_assignment_scope_mismatch_rejected(self):
         with pytest.raises(ScopeMismatch):
             make_distribution(SPACE3, SPACE3.names, [({"X1": "0"}, 0.5)])

@@ -361,10 +361,3 @@ class TestFuzz:
         report = fuzz_properties(config)
         assert report.ok
         assert report.trials_run == 3
-
-
-def test_module_also_exposes_triplet_machinery():
-    # relation containers and triplet enumeration are reachable from here too
-    assert graphoid.enumerate_triplets is enumerate_triplets
-    assert graphoid.IndependenceRelation is IndependenceRelation
-    assert graphoid.triplet_count(3) == 18

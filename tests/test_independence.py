@@ -392,6 +392,47 @@ class TestConstructor:
         assert np.all(dist.table * 10 == pytest.approx(np.round(dist.table * 10), abs=1e-9))
 
 
+MIXED = build_space([("X1", ("0",)), ("X2", ("0", "1", "2")), ("X3", ("0", "1"))])
+WIDE = build_space([("X1", "012"), ("X2", "01"), ("X3", "0123")])
+
+# Tables drawn by the constructor, pinned so that a change of draw order shows.
+PINNED_INSTANCES = {
+    "space3-pow1": (SPACE3, ("X1", "X2", "X3"), 1.0, 3, 10,
+                    [[[0.6, 0.0], [0.2999999999999998, 0.0]], [[1.0, 0.0], [0.7, 0.0]]]),
+    "space3-pow2": (SPACE3, ("X1", "X2", "X3"), 2.0, 3, 10,
+                    [[[0.8, 0.5291502622129184], [0.670820393249937, 0.5291502622129184]],
+                     [[1.0, 0.5291502622129184], [0.9, 0.5291502622129184]]]),
+    "empty-c": (SPACE3, ("X1", ("X2", "X3"), ()), 1.0, 5, 10,
+                [[[0.6000000000000001, 0.7000000000000002], [0.7000000000000002, 0.9]],
+                 [[0.7, 0.8], [0.8, 1.0]]]),
+    "mixed-grid1": (MIXED, ("X2", "X1", "X3"), 1.0, 4, 1,
+                    [[[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]]),
+    "mixed-grid3": (MIXED, ("X2", "X1", "X3"), 1.0, 4, 3,
+                    [[[1.0, 1.0], [1.0, 1.0], [0.6666666666666666, 0.6666666666666666]]]),
+    "mixed-grid10": (MIXED, ("X2", "X1", "X3"), 0.5, 4, 10,
+                     [[[0.5344885196415935, 1.0], [0.6222912360003364, 1.0],
+                       [0.1954964001031073, 0.6]]]),
+    "mixed-empty-c": (MIXED, ("X1", "X3", ()), 2.0, 2, 10, [[1.0, 0.8]]),
+    "wide": (WIDE, ("X1", "X3", "X2"), 1.0, 6, 10,
+             [[[0.3999999999999999] * 4, [0.6, 0.9, 1.0, 0.7]],
+              [[0.3999999999999999] * 4, [0.3999999999999999, 0.7000000000000002, 0.8, 0.5]],
+              [[0.3999999999999999] * 4,
+               [0.2999999999999998, 0.6000000000000001, 0.7, 0.3999999999999999]]]),
+}
+
+
+class TestPinnedConstructions:
+    @pytest.mark.parametrize("case", PINNED_INSTANCES)
+    def test_table_is_bit_identical_to_the_pinned_draw(self, case):
+        space, parts, power, seed, grid, expected = PINNED_INSTANCES[case]
+        t = Triplet.of(*parts)
+        dist, _ = construct_luka_instance(space, t, Generator(power), seed=seed, grid=grid)
+        assert dist.scope == space.subset(t.a | t.b | t.c)
+        assert dist.table.tobytes() == np.array(expected).tobytes()
+        assert dist.normalised
+        assert in_independence(dist, t, LukasiewiczLike(Generator(power))).verdict
+
+
 class TestEnumerateRelation:
     def test_uniform_relation_contains_all_18_triplets(self):
         rel = enumerate_relation(uniform3(), MIN, RelationKind.INDEPENDENCE)
@@ -543,6 +584,14 @@ class OutOfUnit(Hamacher):
         return 1.5
 
 
+@dataclass(frozen=True)
+class NaiveHamacher(Hamacher):
+    """ab / (a + b - ab) without the 0 at (0, 0), where it is 0/0: NaN."""
+
+    def _conjoin(self, aa, bb):
+        return np.where((aa == 0.0) & (bb == 0.0), np.nan, Hamacher._conjoin(self, aa, bb))
+
+
 @dataclass(eq=True)
 class UnhashableHamacher(Conjunction):
     """Hamacher as a mutable dataclass: eq=True without frozen sets __hash__ to None."""
@@ -577,6 +626,23 @@ class TestCustomConjunction:
             test(dist, Triplet.of("X1", "X2"), OutOfUnit())
         with pytest.raises(OutOfRange):
             condition(dist, "X1", "X2", OutOfUnit())
+
+    @pytest.mark.parametrize("frame", [2, 50], ids=["blocks", "one-by-one"])
+    def test_nan_conjoined_side_is_refused_on_both_routes(self, frame):
+        # X1 and X2 each have an impossible value, so at that point both
+        # right-side conditionals of (X1 ; X2) are 0 and their conjunction NaN
+        space = build_space([(f"X{i + 1}", [str(v) for v in range(frame)]) for i in range(2)])
+        table = np.zeros((frame, frame))
+        table[0, 0] = 1.0
+        dist = Distribution(space, space.names, table)
+        with pytest.raises(OutOfRange):
+            enumerate_relation(dist, NaiveHamacher(), RelationKind.NON_INTERACTIVITY)
+        with pytest.raises(OutOfRange):
+            in_noninteractivity(dist, Triplet.of("X1", "X2"), NaiveHamacher())
+        # independence conjoins nothing, so it answers as Hamacher does
+        independence = RelationKind.INDEPENDENCE
+        assert enumerate_relation(dist, NaiveHamacher(), independence) == enumerate_relation(
+            dist, Hamacher(), independence)
 
     @pytest.mark.parametrize("f", [12, 13], ids=["blocks", "one-by-one"])
     def test_unhashable_conjunction_answers_as_its_hashable_twin(self, f):
