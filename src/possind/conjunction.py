@@ -10,11 +10,12 @@ phi(0) = 0 and phi(1) = 1:
 
 The residuum of a conjunction is F(a, b) = sup{s in [0, 1] : c(s, a) <= b};
 conditioning a joint distribution on a marginal goes through it.  All
-operations accept scalars or numpy arrays; the public ones validate operand
-ranges, the underscored kernels trust their callers.
-Boundary identities (0 annihilates, 1 is neutral, F(0, b) = 1) are forced
-exactly: the raw float formulas drift at the edges, e.g. (1 + a) - 1 != a
-for most a, and downstream normalisation flags rely on exact 1s.
+operations accept scalars or numpy arrays; the public ones range-check
+their operands, the underscored kernels trust their callers and compute
+only their formulas, whose results then lie in [0, 1].  The formulas give
+0 annihilating (phi(0) = 0, 0 * b = 0) and F(0, b) = 1 (b >= 0 selects 1)
+exactly, and 1 neutral under min and product.  Lukasiewicz-like ones force
+it, since (1 + b) - 1 != b, and normalisation flags rely on exact 1s.
 """
 
 from __future__ import annotations
@@ -24,32 +25,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OutOfRange
+from .core import check_degrees
+
+#: Generators refuse powers below this: Lukasiewicz-like formulas lose about
+#: 2e-16 / power of absolute accuracy, and at 1e-15 exceed min(a, b).
+MIN_POWER = 1e-6
 
 
-def _check_unit(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
-        raise OutOfRange("operands must lie in [0, 1]")
-    return arr
+def _operand(x) -> np.ndarray:
+    return check_degrees(np.asarray(x, dtype=float), "operands")
 
 
-def _binary_op(a, b, fn):
-    out = fn(_check_unit(a), _check_unit(b))
-    if np.ndim(a) == 0 and np.ndim(b) == 0:
-        return float(out)
-    return out
+def _public(fn, *operands):
+    """fn on the range-checked operands; a float when every operand is a scalar."""
+    out = fn(*map(_operand, operands))
+    return float(out) if all(np.ndim(x) == 0 for x in operands) else out
 
 
 @dataclass(frozen=True)
 class Generator:
-    """The bijection x -> x**power of [0, 1], with power > 0."""
+    """The bijection x -> x**power of [0, 1], with power >= MIN_POWER."""
 
     power: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.power) and self.power > 0):
-            raise ValueError(f"generator power must be finite and positive, got {self.power}")
+        if not (math.isfinite(self.power) and self.power >= MIN_POWER):
+            raise ValueError(f"generator power must be finite and at least {MIN_POWER:g}, "
+                             f"got {self.power}")
 
     def apply(self, x):
         return x if self.power == 1.0 else x**self.power
@@ -58,19 +60,24 @@ class Generator:
         return y if self.power == 1.0 else y ** (1.0 / self.power)
 
 
+def _spec_string(family: str, g: Generator) -> str:
+    """`family`, with `:pow=p` unless the power is 1; p parses back to the power."""
+    short = f"{g.power:g}"
+    p = short if float(short) == g.power else repr(float(g.power))
+    return family if g.power == 1.0 else f"{family}:pow={p}"
+
+
 IDENTITY = Generator(1.0)
 
 
 def generator_apply(g: Generator, x):
     """phi(x); validates x in [0, 1]."""
-    out = g.apply(_check_unit(x))
-    return float(out) if np.ndim(x) == 0 else out
+    return _public(g.apply, x)
 
 
 def generator_invert(g: Generator, y):
     """phi_inv(y); validates y in [0, 1]."""
-    out = g.invert(_check_unit(y))
-    return float(out) if np.ndim(y) == 0 else out
+    return _public(g.invert, y)
 
 
 class Conjunction:
@@ -81,11 +88,11 @@ class Conjunction:
     """
 
     def conjoin(self, a, b):
-        return _binary_op(a, b, self._conjoin)
+        return _public(self._conjoin, a, b)
 
     def residuum(self, a, b):
         """sup{s : c(s, a) <= b}; the first argument is the conditioning side."""
-        return _binary_op(a, b, self._residuum)
+        return _public(self._residuum, a, b)
 
     def _conjoin(self, aa, bb):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -114,13 +121,6 @@ class Min(Conjunction):
         return "min"
 
 
-def _force_boundaries(out, aa, bb):
-    out = np.where(aa == 1.0, bb, out)
-    out = np.where(bb == 1.0, aa, out)
-    out = np.where((aa == 0.0) | (bb == 0.0), 0.0, out)
-    return np.clip(out, 0.0, 1.0)
-
-
 @dataclass(frozen=True)
 class LukasiewiczLike(Conjunction):
     """Lukasiewicz-like T-norm with generator phi."""
@@ -130,41 +130,45 @@ class LukasiewiczLike(Conjunction):
     def _conjoin(self, aa, bb):
         g = self.generator
         out = g.invert(np.maximum(0.0, g.apply(aa) + g.apply(bb) - 1.0))
-        return _force_boundaries(out, aa, bb)
+        # force 1 neutral: (1 + b) - 1 != b
+        out = np.where(aa == 1.0, bb, out)
+        return np.where(bb == 1.0, aa, out)
 
     def _residuum(self, aa, bb):
         g = self.generator
+        # min keeps the masked branch finite: above 1, ** (1/p) overflows for tiny p
         inner = np.minimum(1.0, 1.0 - g.apply(aa) + g.apply(bb))
         # b >= a already means the sup is the whole interval
-        out = np.where(bb >= aa, 1.0, g.invert(np.maximum(0.0, inner)))
-        return np.clip(out, 0.0, 1.0)
+        return np.where(bb >= aa, 1.0, g.invert(np.maximum(0.0, inner)))
 
     def spec_string(self) -> str:
-        p = self.generator.power
-        return "luka" if p == 1.0 else f"luka:pow={p:g}"
+        return _spec_string("luka", self.generator)
 
 
 @dataclass(frozen=True)
 class ProductLike(Conjunction):
-    """Product-like T-norm with generator phi."""
+    """Product-like T-norm with generator phi.
+
+    For power generators phi_inv(phi(a) * phi(b)) = a * b and
+    phi_inv(phi(b) / phi(a)) = b / a, so neither goes through phi, which
+    underflows at tiny degrees (phi(1e-200) = 0 under power 2), and
+    `prod:pow=p` conjoins and conditions exactly like `prod`.  The power
+    shows only in spec strings, equality and characterize_product_*,
+    which compare phi-values against eps.
+    """
 
     generator: Generator = field(default=IDENTITY)
 
-    # For power generators phi_inv(phi(a) * phi(b)) = a * b and
-    # phi_inv(phi(b) / phi(a)) = b / a, so neither goes through phi, which
-    # underflows at tiny degrees (phi(1e-200) = 0 under power 2).
-
     def _conjoin(self, aa, bb):
-        return _force_boundaries(aa * bb, aa, bb)
+        return aa * bb
 
     def _residuum(self, aa, bb):
         # the divisor is used only where a > b
         ratio = bb / np.where(aa > bb, aa, 1.0)
-        return np.clip(np.where(bb >= aa, 1.0, ratio), 0.0, 1.0)
+        return np.where(bb >= aa, 1.0, ratio)
 
     def spec_string(self) -> str:
-        p = self.generator.power
-        return "prod" if p == 1.0 else f"prod:pow={p:g}"
+        return _spec_string("prod", self.generator)
 
 
 def conjoin(conj: Conjunction, a, b):
@@ -186,8 +190,7 @@ def residuum_oracle(conj: Conjunction, a, b, steps: int = 10_000) -> float:
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    af = float(_check_unit(a))
-    bf = float(_check_unit(b))
+    af, bf = float(_operand(a)), float(_operand(b))
     s = np.linspace(0.0, 1.0, int(steps) + 1)
     ok = conj.conjoin(s, af) <= bf * (1.0 + 1e-12)
     return float(s[ok].max())

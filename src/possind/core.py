@@ -50,6 +50,26 @@ def check_eps(eps: float) -> None:
         raise ValueError(f"eps must be a finite number >= 0, got {eps}")
 
 
+def check_degrees(values, what: str):
+    """`values`, an array or numpy scalar, if all lie in [0, 1]; OutOfRange
+    naming `what` otherwise, NaN included.  The one range check on degrees."""
+    # logical_and gives a numpy bool, with .all(), for a scalar too
+    if not np.logical_and(values >= 0.0, values <= 1.0).all():
+        raise OutOfRange(f"{what} must lie in [0, 1]")
+    return values
+
+
+def listed_degree(value) -> float:
+    """One degree listed for an assignment, as a float in [0, 1]."""
+    try:
+        value = float(value)
+    except OverflowError:
+        raise OutOfRange("a possibility degree is too large for a float") from None
+    if not 0.0 <= value <= 1.0:
+        raise OutOfRange(f"degree {value} outside [0, 1]")
+    return value
+
+
 def masks(order: tuple[str, ...], *parts) -> tuple[int, ...]:
     """Bitmask of each part over `order`, bit i standing for order[i]."""
     return tuple(sum(1 << order.index(n) for n in part) for part in parts)
@@ -172,8 +192,7 @@ class Distribution:
             raise ScopeMismatch(
                 f"table shape {arr.shape} does not match scope shape {expected}"
             )
-        if not np.all((arr >= 0.0) & (arr <= 1.0)):
-            raise OutOfRange("possibility degrees must lie in [0, 1]")
+        check_degrees(arr, "possibility degrees")
         arr.setflags(write=False)
         self.space = space
         self.scope = scope
@@ -247,13 +266,7 @@ def make_distribution(space: Space, scope, entries=()) -> Distribution:
     scope = space.subset(scope)
     table = np.zeros(space.shape(scope))
     for assignment, value in entries:
-        try:
-            value = float(value)
-        except OverflowError:
-            raise OutOfRange("a possibility degree is too large for a float") from None
-        if not 0.0 <= value <= 1.0:
-            raise OutOfRange(f"degree {value} outside [0, 1]")
-        table[space.indices(assignment, scope)] = value
+        table[space.indices(assignment, scope)] = listed_degree(value)
     return Distribution(space, scope, table)
 
 

@@ -335,6 +335,29 @@ def _write_reproducer(config, failure: FuzzFailure) -> None:
     failure.path = str(path)
 
 
+def _claim_checks(dist, conj, eps, gaps: list):
+    """Enumerate the two relations of `dist` under `conj` in turn, yielding
+    after each the (property, detail) of the claim it breaks, or None.  The
+    intersection gaps of a semigraphoid no-interactivity relation go to `gaps`."""
+    i_rel = enumerate_relation(dist, conj, RelationKind.INDEPENDENCE, eps)
+    report = is_graphoid(i_rel)
+    yield None if report.holds else (
+        "independence relation is a graphoid", str(report.counterexamples[0]))
+    ni_rel = enumerate_relation(dist, conj, RelationKind.NON_INTERACTIVITY, eps)
+    if isinstance(conj, LukasiewiczLike):
+        missing = next((t for t in i_rel if t not in ni_rel), None)
+        yield None if missing is None else (
+            "independence is contained in no-interactivity under lukasiewicz-like conjunctions",
+            f"independence member {missing} is not in no-interactivity")
+        return
+    report = is_graphoid(ni_rel)
+    if not all(report.verdicts[axiom] for axiom in SEMIGRAPHOID_AXIOMS):
+        yield "no-interactivity relation is a semigraphoid", str(report.counterexamples[0])
+        return
+    gaps.extend(cx for cx in report.counterexamples if cx.axiom == "intersection")
+    yield None
+
+
 def fuzz_properties(config: FuzzConfig) -> FuzzReport:
     """Check the claimed axiom level of induced relations on random trials.
 
@@ -354,56 +377,21 @@ def fuzz_properties(config: FuzzConfig) -> FuzzReport:
         raise ValueError(f"trials must be >= 0, got {config.trials}")
     _check_relation_guard(config.variables)
     space = _fuzz_space(config)
-    failures: list[FuzzFailure] = []
     mined: list[MinedCounterexample] = []
     trials_run = 0
     relations = 0
-
-    def fail(trial, seed, dist, conj, prop, detail) -> FuzzFailure:
-        doc = reproducer_document(dist, conj, seed, trial=trial, property=prop)
-        failure = FuzzFailure(trial, seed, conj.spec_string(), prop, detail, doc)
-        _write_reproducer(config, failure)
-        failures.append(failure)
-        return failure
-
     for trial, dist, seed in _trial_stream(config, space):
         trials_run += 1
         for conj in config.conjunctions:
-            i_rel = enumerate_relation(dist, conj, RelationKind.INDEPENDENCE, config.eps)
-            relations += 1
-            report = is_graphoid(i_rel)
-            if not report.holds:
-                fail(
-                    trial, seed, dist, conj,
-                    "independence relation is a graphoid",
-                    str(report.counterexamples[0]),
-                )
-                return FuzzReport(trials_run, relations, failures, mined)
+            gaps: list[Counterexample] = []
+            for broken in _claim_checks(dist, conj, config.eps, gaps):
+                relations += 1
+                if broken is not None:
+                    prop, detail = broken
+                    doc = reproducer_document(dist, conj, seed, trial=trial, property=prop)
+                    failure = FuzzFailure(trial, seed, conj.spec_string(), prop, detail, doc)
+                    _write_reproducer(config, failure)
+                    return FuzzReport(trials_run, relations, [failure], mined)
+            mined.extend(MinedCounterexample(trial, conj.spec_string(), cx) for cx in gaps)
 
-            ni_rel = enumerate_relation(dist, conj, RelationKind.NON_INTERACTIVITY, config.eps)
-            relations += 1
-            if isinstance(conj, LukasiewiczLike):
-                missing = next((t for t in i_rel if t not in ni_rel), None)
-                if missing is not None:
-                    fail(
-                        trial, seed, dist, conj,
-                        "independence is contained in no-interactivity under "
-                        "lukasiewicz-like conjunctions",
-                        f"independence member {missing} is not in no-interactivity",
-                    )
-                    return FuzzReport(trials_run, relations, failures, mined)
-            else:
-                report = is_graphoid(ni_rel)
-                if not all(report.verdicts[axiom] for axiom in SEMIGRAPHOID_AXIOMS):
-                    fail(
-                        trial, seed, dist, conj,
-                        "no-interactivity relation is a semigraphoid",
-                        str(report.counterexamples[0]),
-                    )
-                    return FuzzReport(trials_run, relations, failures, mined)
-                mined.extend(
-                    MinedCounterexample(trial, conj.spec_string(), cx)
-                    for cx in report.counterexamples if cx.axiom == "intersection"
-                )
-
-    return FuzzReport(trials_run, relations, failures, mined)
+    return FuzzReport(trials_run, relations, [], mined)

@@ -31,12 +31,13 @@ from .core import (
     Space,
     Triplet,
     candidate_masks,
+    check_degrees,
     check_eps,
     masks,
     triplet_count,
     triplets_from_masks,
 )
-from .errors import BadTriplet, NotNormalised, OutOfRange, ScopeMismatch, TooLarge
+from .errors import BadTriplet, NotNormalised, ScopeMismatch, TooLarge
 
 #: Enumeration refuses spaces with more candidate triplets than this.
 RELATION_GUARD = 100_000
@@ -83,11 +84,8 @@ class MembershipEvidence:
 
 
 def _checked(degrees):
-    """`degrees` if all lie in [0, 1]; OutOfRange otherwise, NaN included."""
-    # logical_and gives a numpy bool, with .all(), for a scalar too
-    if not np.logical_and(degrees >= 0.0, degrees <= 1.0).all():
-        raise OutOfRange("conditional degrees must lie in [0, 1]")
-    return degrees
+    """`degrees` if all lie in [0, 1]: the guard against custom conjunctions."""
+    return check_degrees(degrees, "conditional degrees")
 
 
 def _conditional(dist: Distribution, conj: Conjunction, x: int, given: int) -> np.ndarray:

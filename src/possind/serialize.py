@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .conjunction import Conjunction
-from .core import Distribution, build_space
+from .core import Distribution, build_space, listed_degree
 from .errors import FormatError, OutOfRange
 
 
@@ -125,12 +125,7 @@ def _raise_row_error(values, space) -> None:
         key = tuple(sorted(assignment.items()))
         _expect(key not in seen, f"duplicate assignment {assignment}")
         seen.add(key)
-        try:
-            degree = float(degree)
-        except OverflowError:
-            raise OutOfRange("a possibility degree is too large for a float") from None
-        if not 0.0 <= degree <= 1.0:
-            raise OutOfRange(f"degree {degree} outside [0, 1]")
+        listed_degree(degree)
         space.indices(assignment, space.names)
 
 

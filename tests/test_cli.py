@@ -137,6 +137,13 @@ class TestEnumerate:
         assert "6 triplets" in out
         assert "(X1 ; X2 | X3)" in out
 
+    def test_names_the_conjunction_it_ran(self, two_peak_file, capsys):
+        assert main([
+            "enumerate", "--dist", two_peak_file,
+            "--conj", "luka:pow=1.0000001", "--relation", "independence",
+        ]) == 0
+        assert "under luka:pow=1.0000001" in capsys.readouterr().out
+
 
 class TestAxioms:
     def test_graphoid_failure_exits_one(self, two_peak_file, capsys):
@@ -233,6 +240,13 @@ class TestErrorsAndDeterminism:
             "condition", "--dist", one_sided_file,
             "--target", "X1", "--conj", "frank",
         ]) == 2
+
+    def test_generator_power_below_the_bound_exits_two(self, one_sided_file, capsys):
+        assert main([
+            "independent", "--dist", one_sided_file, "--a", "X1", "--b", "X2",
+            "--conj", "luka:pow=1e-16", "--relation", "independence",
+        ]) == 2
+        assert "generator power must be finite and at least 1e-06" in capsys.readouterr().err
 
     def test_bad_relation_flag_exits_two(self, one_sided_file, capsys):
         assert main([

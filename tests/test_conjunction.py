@@ -17,6 +17,8 @@ from possind import (
     parse_conjunction,
     residuum_oracle,
 )
+from possind.conjunction import MIN_POWER
+from possind.core import EPS
 
 FAMILIES = (
     Min(),
@@ -65,6 +67,28 @@ class TestGenerator:
             Generator(0.0)
         with pytest.raises(ValueError):
             Generator(-2.0)
+
+    def test_power_bound(self):
+        assert Generator(MIN_POWER).power == MIN_POWER
+        for power in (np.nextafter(MIN_POWER, 0.0), 1e-15, 1e-16):
+            with pytest.raises(ValueError, match="at least 1e-06"):
+                Generator(power)
+            with pytest.raises(ValueError):
+                parse_conjunction(f"luka:pow={power!r}")
+
+    def test_lukasiewicz_kernels_at_the_power_bound_track_a_log_space_reference(self):
+        # phi(x) = exp(p ln x) = 1 + expm1(p ln x) keeps the digits that
+        # 1 - phi(x) loses for tiny p; the bound keeps the loss below EPS / 5
+        p = MIN_POWER
+        x = np.arange(1, 100) / 100
+        a, b = x[:, None], x[None, :]
+        ea, eb = np.expm1(p * np.log(a)), np.expm1(p * np.log(b))
+        u = ea + eb
+        conj_ref = np.exp(np.log1p(np.maximum(u, -0.5)) / p) * (u > -1)
+        res_ref = np.where(b >= a, 1.0, np.exp(np.log1p(np.minimum(eb - ea, 0.0)) / p))
+        conj = LukasiewiczLike(Generator(p))
+        assert np.max(np.abs(conj.conjoin(a, b) - conj_ref)) < EPS / 5
+        assert np.max(np.abs(conj.residuum(a, b) - res_ref)) < EPS / 5
 
     def test_range_validation(self):
         with pytest.raises(OutOfRange):
@@ -273,6 +297,17 @@ class TestExtremePowersAndTinyDegrees:
 
     @settings(max_examples=300, deadline=None)
     @given(conj=conjunctions(), a=degrees, b=degrees)
+    def test_range_and_boundary_laws_hold_exactly(self, conj, a, b):
+        # the kernels compute only their formulas; nothing clamps or forces
+        # these results except 1 being neutral under Lukasiewicz-like ones
+        for got in (conj.conjoin(a, b), conj.residuum(a, b)):
+            assert 0.0 <= got <= 1.0
+        assert conj.conjoin(0.0, b) == conj.conjoin(b, 0.0) == 0.0
+        assert conj.conjoin(1.0, b) == conj.conjoin(b, 1.0) == b
+        assert conj.residuum(0.0, b) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(conj=conjunctions(), a=degrees, b=degrees)
     def test_conjoining_the_residuum_stays_below_b(self, conj, a, b):
         got = conj.conjoin(conj.residuum(a, b), a)
         assert got <= b * (1 + 1e-12) + phi_resolution(conj, b)
@@ -294,6 +329,25 @@ class TestParse:
         assert isinstance(conj, family)
         if power is not None:
             assert conj.generator.power == power
+        assert parse_conjunction(conj.spec_string()) == conj
+
+    @pytest.mark.parametrize(
+        "power,text",
+        [(2.0, "pow=2"), (0.5, "pow=0.5"), (1e-6, "pow=1e-06"),
+         (1.0000001, "pow=1.0000001"), (1 / 3, "pow=0.3333333333333333")],
+    )
+    def test_spec_string_prints_the_power(self, power, text):
+        # :g where it parses back to the power, so earlier specs keep their text
+        assert LukasiewiczLike(Generator(power)).spec_string() == f"luka:{text}"
+        assert ProductLike(Generator(power)).spec_string() == f"prod:{text}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        family=st.sampled_from((LukasiewiczLike, ProductLike)),
+        power=st.one_of(st.floats(MIN_POWER, 1e6), st.floats(1.0 - 1e-6, 1.0 + 1e-6)),
+    )
+    def test_spec_string_round_trips_every_power(self, family, power):
+        conj = family(Generator(power))
         assert parse_conjunction(conj.spec_string()) == conj
 
     @pytest.mark.parametrize(
