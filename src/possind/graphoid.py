@@ -375,6 +375,8 @@ def fuzz_properties(config: FuzzConfig) -> FuzzReport:
         raise TooSmall("fuzzing needs at least two variables")
     if config.trials < 0:
         raise ValueError(f"trials must be >= 0, got {config.trials}")
+    if config.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {config.seed}")
     _check_relation_guard(config.variables)
     space = _fuzz_space(config)
     mined: list[MinedCounterexample] = []

@@ -51,6 +51,9 @@ BLOCK_CELLS = 1 << 13
 #: conditionals on smaller frames and stops at the first failed side.
 CROSSOVER_CELLS = 1 << 11
 
+#: Enumeration keeps the plans (_plan) of this many (frame sizes, kind) pairs.
+PLAN_CACHE_SIZE = 8
+
 
 def _check_relation_guard(n_variables: int) -> None:
     if triplet_count(n_variables) > RELATION_GUARD:
@@ -308,38 +311,56 @@ def _row_tables(k: int, kind: RelationKind):
     return tables[0], tables[1:]
 
 
-def _scope_members(dist, conj, kind, eps, scopes, memo) -> list:
-    """(a, b, c) masks of the members among the candidates whose a|b|c is
-    one of `scopes`, scope masks whose axes have the same frame sizes.
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(shape: tuple, kind: RelationKind) -> tuple:
+    """Per group of scopes whose axes have the same frame sizes, read-only
+    (scopes, spread, candidates, sides): spread[q][x] is the mask of the
+    axes of scopes[q] that local mask x selects, candidates are (a, b, c)
+    masks scope by scope, and sides are _row_tables' at rows (q << k) + x."""
+    groups = {}  # frame sizes of a scope's axes -> scope masks
+    for scope in range(1 << len(shape)):
+        sizes = tuple(size for i, size in enumerate(shape) if scope >> i & 1)
+        if len(sizes) >= 2:
+            groups.setdefault(sizes, []).append(scope)
+    plan = []
+    for scopes in groups.values():
+        bits = np.array([[1 << i for i in range(len(shape)) if scope >> i & 1] for scope in scopes])
+        k = bits.shape[1]
+        local, sides = _row_tables(k, kind)
+        spread = bits @ (np.arange(1 << k)[:, None] >> np.arange(k) & 1).T
+        offsets = np.arange(len(scopes))[:, None, None, None] << k
+        tables = [spread[:, local].reshape(-1, 3)]
+        tables += ((side + offsets).reshape(-1, *side.shape[1:]) for side in sides)
+        for table in tables:
+            table.setflags(write=False)
+        plan.append((tuple(scopes), tuple(map(tuple, spread.tolist())), tables[0], tables[1:]))
+    return tuple(plan)
+
+
+def _scope_members(dist, conj, kind, eps, group, memo) -> list:
+    """(a, b, c) masks of the members among the candidates of `group`, one
+    group of scopes of _plan(dist.table.shape, kind).
 
     Small frames are evaluated in blocks of candidates from all the scopes
     at once, on marginals broadcast onto the scope's frame: each side in
     one residuum call, the next side only for the candidates that passed.
     Large frames are evaluated one candidate at a time on keepdims
     conditionals kept in `memo`, as in_* does, stopping at the first failed side."""
-    n = len(dist.scope)
-    bits = np.array([[1 << i for i in range(n) if scope >> i & 1] for scope in scopes])
-    k = bits.shape[1]
-    local, sides = _row_tables(k, kind)
-    # spread[q, x] is the mask of the axes of scopes[q] that local mask x selects
-    spread = bits @ (np.arange(1 << k)[:, None] >> np.arange(k) & 1).T
-    candidates = spread[:, local].reshape(-1, 3)
+    scopes, spread, candidates, sides = group
     cells = dist._marginal(scopes[0]).size
     if cells > CROSSOVER_CELLS:
         return [t for t in candidates.tolist()
                 if all(np.max(np.abs(lhs - rhs)) <= eps
                        for lhs, rhs in _membership_sides(dist, conj, kind, *t, memo))]
-    marginals = np.empty((len(scopes), 1 << k, cells))
-    for q, scope in enumerate(scopes):
-        rows = marginals[q].reshape(1 << k, *dist._marginal(scope).shape)
-        for x, mask in enumerate(spread[q].tolist()):
+    marginals = np.empty((len(scopes), len(spread[0]), cells))
+    for rows, scope, row_masks in zip(marginals, scopes, spread):
+        rows = rows.reshape(-1, *dist._marginal(scope).shape)
+        for x, mask in enumerate(row_masks):
             rows[x] = dist._marginal(mask)
     # every left side conditions a whole scope: row (q, u) is (given u, total scopes[q])
     lhs_rows = _checked(conj._residuum(marginals.reshape(-1, cells),
-                                       np.repeat(marginals[:, -1], 1 << k, axis=0)))
+                                       np.repeat(marginals[:, -1], len(spread[0]), axis=0)))
     marginals = marginals.reshape(-1, cells)
-    offsets = np.arange(len(scopes))[:, None, None, None] << k
-    sides = [(side + offsets).reshape(-1, *side.shape[1:]) for side in sides]
     members = []
     step = max(1, BLOCK_CELLS // cells)
     for start in range(0, len(candidates), step):
@@ -369,16 +390,10 @@ def enumerate_relation(
     triplet at a time."""
     if not dist.normalised:
         raise NotNormalised("relation enumeration needs a normalised distribution")
-    names = dist.scope
-    _check_relation_guard(len(names))
+    _check_relation_guard(len(dist.scope))
     check_eps(eps)
     kind = RelationKind(kind)
-    groups = {}  # frame sizes of a scope's axes -> scope masks
-    for scope in range(1 << len(names)):
-        sizes = tuple(size for i, size in enumerate(dist.table.shape) if scope >> i & 1)
-        if len(sizes) >= 2:
-            groups.setdefault(sizes, []).append(scope)
     memo = {}  # conditionals shared by the scopes enumerated one triplet at a time
-    rows = [t for scopes in groups.values()
-            for t in _scope_members(dist, conj, kind, eps, scopes, memo)]
-    return IndependenceRelation(dist.space, frozenset(triplets_from_masks(names, rows)))
+    rows = [t for group in _plan(dist.table.shape, kind)
+            for t in _scope_members(dist, conj, kind, eps, group, memo)]
+    return IndependenceRelation(dist.space, frozenset(triplets_from_masks(dist.scope, rows)))

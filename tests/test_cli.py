@@ -248,6 +248,10 @@ class TestErrorsAndDeterminism:
         ]) == 2
         assert "generator power must be finite and at least 1e-06" in capsys.readouterr().err
 
+    def test_negative_fuzz_seed_exits_two(self, capsys):
+        assert main(["fuzz", "--trials", "2", "--seed", "-1"]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
     def test_bad_relation_flag_exits_two(self, one_sided_file, capsys):
         assert main([
             "independent", "--dist", one_sided_file,

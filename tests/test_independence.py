@@ -477,17 +477,33 @@ ROUTE_FAMILIES = tuple(
 )
 
 
+def _grid_table(shape, seed):
+    """A grid-valued table with zeros and a 1, drawn from `seed`."""
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, 11, size=shape) / 10
+    table.flat[rng.choice(table.size, size=2, replace=False)] = 0.0
+    table.flat[rng.integers(0, table.size)] = 1.0
+    return table
+
+
 def seeded_tables():
     """Grid-valued 3- and 4-variable tables, each with zeros and a 1."""
     out = []
     for n, seeds in ((3, range(6)), (4, range(3))):
         space = build_space([(f"X{i + 1}", ("0", "1")) for i in range(n)])
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
-            table = rng.integers(0, 11, size=(2,) * n) / 10
-            table.flat[rng.choice(table.size, size=2, replace=False)] = 0.0
-            table.flat[rng.integers(0, table.size)] = 1.0
-            out.append((space, table))
+        out += [(space, _grid_table((2,) * n, seed)) for seed in seeds]
+    return out
+
+
+def mixed_tables():
+    """Grid-valued tables on mixed frame sizes, shapes interleaved: (2,3,2)
+    and (3,2,2) group their scopes differently."""
+    out = []
+    for seed in range(2):
+        for shape in ((2, 3, 2), (3, 2, 2), (1, 3, 2), (2, 3, 2, 3)):
+            space = build_space([(f"X{i + 1}", [str(v) for v in range(f)])
+                                 for i, f in enumerate(shape)])
+            out.append((space, _grid_table(shape, seed)))
     return out
 
 
@@ -524,7 +540,7 @@ class TestRoutesAgree:
     @pytest.mark.parametrize("conj", ROUTE_FAMILIES, ids=str)
     def test_enumeration_equals_membership_tests(self, conj, kind):
         test = in_independence if kind is RelationKind.INDEPENDENCE else in_noninteractivity
-        for space, table in seeded_tables() + crossover_tables():
+        for space, table in seeded_tables() + mixed_tables() + crossover_tables():
             dist = Distribution(space, space.names, table)
             members = enumerate_relation(dist, conj, kind).members
             fresh = Distribution(space, space.names, table)
