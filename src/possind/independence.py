@@ -18,6 +18,7 @@ against each other.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,7 +31,6 @@ from .core import (
     IndependenceRelation,
     Space,
     Triplet,
-    candidate_masks,
     check_degrees,
     check_eps,
     masks,
@@ -42,7 +42,8 @@ from .errors import BadTriplet, NotNormalised, ScopeMismatch, TooLarge
 #: Enumeration refuses spaces with more candidate triplets than this.
 RELATION_GUARD = 100_000
 
-#: Enumeration compares at most this many cells of a scope's frame at once.
+#: Enumeration conditions at most this many cells at once, in whole units
+#: (see _row_tables); a larger unit takes a block of its own.
 BLOCK_CELLS = 1 << 13
 
 #: Scopes whose frames have more cells than this are enumerated one triplet
@@ -299,82 +300,142 @@ def construct_luka_instance(
 @functools.cache
 def _row_tables(k: int, kind: RelationKind):
     """Local (a, b, c) masks of the candidate triplets that span all of k
-    bits, and per side a (triplets, conditionals, 2) array of the
-    (given, x | given) marginal masks of each of its conditionals."""
+    bits, ordered by c and then a: a unit is the candidates with one c,
+    and row r is candidate r's conditional (given c, total a | c), so a
+    unit's rows are its pairs c < t < all k bits, strict subsets.  Per
+    side, a (triplets, 1 + conditionals) array: the given mask of the left
+    side, whose total is all k bits, then the rows of the right side."""
     full = (1 << k) - 1
-    local = [t for t in candidate_masks(k) if t[0] | t[1] | t[2] == full]
-    sides = zip(*(_side_pairs(kind, *t) for t in local))
-    tables = [np.array(local)]
-    tables += (np.array([[(g, x | g) for x, g in pairs] for pairs in side]) for side in sides)
-    for table in tables:
-        table.setflags(write=False)
-    return tables[0], tables[1:]
+    c, a = np.divmod(np.arange(1 << 2 * k, dtype=np.int32), 1 << k)
+    keep = ((a & c) == 0) & (a > 0) & ((a | c) != full)
+    a, b, c = a[keep], (full ^ a ^ c)[keep], c[keep]
+    row = np.zeros((1 << k, 1 << k), dtype=np.int32)
+    row[c, a | c] = np.arange(len(a))
+    sides = tuple(np.stack([left[1], *(row[given, x | given] for x, given in right)], axis=1)
+                  for left, *right in _side_pairs(kind, a, b, c))
+    return _read_only((np.stack([a, b, c], axis=1), sides))
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(shape: tuple, kind: RelationKind) -> tuple:
-    """Per group of scopes whose axes have the same frame sizes, read-only
-    (scopes, spread, candidates, sides): spread[q][x] is the mask of the
-    axes of scopes[q] that local mask x selects, candidates are (a, b, c)
-    masks scope by scope, and sides are _row_tables' at rows (q << k) + x."""
+    """Read-only (masks, groups): the masks whose lattice entries the block
+    route reads, in the order enumerate_relation concatenates them, and
+    per group of scopes whose axes have the same frame sizes (candidates,
+    route): its candidates' (a, b, c) masks, scope by scope in
+    _row_tables' order, and route None past CROSSOVER_CELLS, else
+    _block_route's."""
+    n = len(shape)
     groups = {}  # frame sizes of a scope's axes -> scope masks
-    for scope in range(1 << len(shape)):
+    for scope in range(1 << n):
         sizes = tuple(size for i, size in enumerate(shape) if scope >> i & 1)
         if len(sizes) >= 2:
             groups.setdefault(sizes, []).append(scope)
-    plan = []
-    for scopes in groups.values():
-        bits = np.array([[1 << i for i in range(len(shape)) if scope >> i & 1] for scope in scopes])
-        k = bits.shape[1]
-        local, sides = _row_tables(k, kind)
-        spread = bits @ (np.arange(1 << k)[:, None] >> np.arange(k) & 1).T
-        offsets = np.arange(len(scopes))[:, None, None, None] << k
-        tables = [spread[:, local].reshape(-1, 3)]
-        tables += ((side + offsets).reshape(-1, *side.shape[1:]) for side in sides)
-        for table in tables:
+    # spread[q, x] is the mask of the axes of scope q that local mask x selects
+    spreads = {sizes: np.array([[1 << i for i in range(n) if scope >> i & 1] for scope in scopes])
+               @ (np.arange(1 << len(sizes))[:, None] >> np.arange(len(sizes)) & 1).T
+               for sizes, scopes in groups.items()}
+    blocked = [sizes for sizes in spreads if math.prod(sizes) <= CROSSOVER_CELLS]
+    masks = sorted({m for sizes in blocked for m in spreads[sizes].ravel().tolist()})
+    entry_cells = [math.prod(shape[i] for i in range(n) if m >> i & 1) for m in masks]
+    # intp, so that base + cells, the gather index of the marginals, is too:
+    # numpy gathers several times faster with intp indices than with int32
+    offset = np.zeros(1 << n, dtype=np.intp)
+    offset[masks] = np.cumsum([0, *entry_cells])[:-1]
+    return _read_only((tuple(masks), tuple(
+        (spread[:, _row_tables(len(sizes), kind)[0]].reshape(-1, 3),
+         _block_route(sizes, offset[spread], kind) if sizes in blocked else None)
+        for sizes, spread in spreads.items())))
+
+
+def _read_only(tables: tuple) -> tuple:
+    """`tables`, with every array in it or in tuples in it made read-only."""
+    for table in tables:
+        if isinstance(table, np.ndarray):
             table.setflags(write=False)
-        plan.append((tuple(scopes), tuple(map(tuple, spread.tolist())), tables[0], tables[1:]))
-    return tuple(plan)
+        elif isinstance(table, tuple):
+            _read_only(table)
+    return tables
 
 
-def _scope_members(dist, conj, kind, eps, group, memo) -> list:
+def _block_route(sizes, base, kind) -> tuple:
+    """(base, cells, (given, total), sides, blocks) of the scopes whose axes
+    have frame sizes `sizes`.  Marginal row (q << k) + x, the lattice entry
+    of local mask x of scope q broadcast onto its frame, is the
+    concatenation at base[q, x] + cells[x].  Conditional row r conditions
+    marginal row total[r] on given[r]: first the left sides, (q << k) + u
+    given u of scope q, then one row per candidate.  A block (lo, hi,
+    start, stop) conditions rows lo:hi for candidates start:stop, whole
+    units of at most BLOCK_CELLS cells of rows or one larger unit; the
+    first also conditions the left sides.  A side is a (candidates, 1 +
+    conditionals) array: its left side's row, then its right side's rows
+    within their block."""
+    local, sides = _row_tables(len(sizes), kind)
+    k, cells, n = len(sizes), math.prod(sizes), len(local)
+    q = np.arange(len(base), dtype=np.int32)[:, None]
+    left_rows = len(base) << k
+    operands = np.concatenate([
+        [np.arange(left_rows, dtype=np.int32), np.repeat((q << k) + (1 << k) - 1, 1 << k)],
+        ((q << k) + np.stack([local[:, 2], local[:, 0] | local[:, 2]])[:, None]).reshape(2, -1),
+    ], axis=1)
+    ends = ((q * n) + np.append(np.flatnonzero(np.diff(local[:, 2])) + 1, n)).ravel().tolist()
+    edges = [0]
+    for begin, end in zip([0, *ends], ends):  # close a block before a unit that overfills it
+        if (end - edges[-1]) * cells > BLOCK_CELLS and begin > edges[-1]:
+            edges.append(begin)
+    edges.append(ends[-1])
+    blocks = tuple((left_rows + start if start else 0, left_rows + stop, start, stop)
+                   for start, stop in zip(edges, edges[1:]))
+    shift = np.repeat(np.array([left_rows - lo for lo, *_ in blocks], np.int32), np.diff(edges))
+    sides = tuple(np.stack([((q << k) + side[:, 0]).ravel(),
+                            *(((q * n) + rows).ravel() + shift for rows in side[:, 1:].T)],
+                           axis=1) for side in sides)
+    # C-order strides of each local mask's entry, 0 on the axes it drops
+    bits = np.arange(1 << k)[:, None] >> np.arange(k) & 1
+    kept = np.where(bits, sizes, 1)
+    strides = np.cumprod(kept[:, ::-1], axis=1)[:, ::-1] // kept * bits
+    cell_index = strides @ np.indices(sizes).reshape(k, -1)
+    # the smallest type that holds a cell index: the plan keeps 2^k * cells of them
+    return (base[..., None], cell_index.astype(np.min_scalar_type(cells - 1)), operands, sides,
+            blocks)
+
+
+def _scope_members(dist, conj, kind, eps, group, flat, memo) -> list:
     """(a, b, c) masks of the members among the candidates of `group`, one
-    group of scopes of _plan(dist.table.shape, kind).
+    group of _plan(dist.table.shape, kind); `flat` concatenates the
+    lattice entries of the plan's masks.
 
-    Small frames are evaluated in blocks of candidates from all the scopes
-    at once, on marginals broadcast onto the scope's frame: each side in
-    one residuum call, the next side only for the candidates that passed.
-    Large frames are evaluated one candidate at a time on keepdims
-    conditionals kept in `memo`, as in_* does, stopping at the first failed side."""
-    scopes, spread, candidates, sides = group
-    cells = dist._marginal(scopes[0]).size
-    if cells > CROSSOVER_CELLS:
+    Small frames are evaluated block by block on marginals broadcast onto
+    the scope's frame: one residuum call per block conditions every pair
+    its candidates use, the first block's also every left side, and each
+    side is a gather from those, the next side only for the candidates
+    that passed.  Large frames are evaluated one candidate at a time on
+    keepdims conditionals kept in `memo`, as in_* does, stopping at the
+    first failed side."""
+    candidates, route = group
+    if route is None:
         return [t for t in candidates.tolist()
                 if all(np.max(np.abs(lhs - rhs)) <= eps
                        for lhs, rhs in _membership_sides(dist, conj, kind, *t, memo))]
-    marginals = np.empty((len(scopes), len(spread[0]), cells))
-    for rows, scope, row_masks in zip(marginals, scopes, spread):
-        rows = rows.reshape(-1, *dist._marginal(scope).shape)
-        for x, mask in enumerate(row_masks):
-            rows[x] = dist._marginal(mask)
-    # every left side conditions a whole scope: row (q, u) is (given u, total scopes[q])
-    lhs_rows = _checked(conj._residuum(marginals.reshape(-1, cells),
-                                       np.repeat(marginals[:, -1], len(spread[0]), axis=0)))
-    marginals = marginals.reshape(-1, cells)
+    base, cells, (given, total), sides, blocks = route
+    # given[:L] lists the L marginal rows in turn, so these rows are the
+    # marginal rows, then the first block's other givens: its given operand.
+    # Rows are gathered with take, which dispatches faster than indexing.
+    marginals = flat[(base + cells).reshape(-1, cells.shape[1]).take(given[:blocks[0][1]], 0)]
     members = []
-    step = max(1, BLOCK_CELLS // cells)
-    for start in range(0, len(candidates), step):
-        alive = np.arange(start, min(start + step, len(candidates)))
+    for lo, hi, start, stop in blocks:
+        out = _checked(conj._residuum(marginals.take(given[lo:hi], 0) if lo else marginals,
+                                      marginals.take(total[lo:hi], 0)))
+        if lo == 0:
+            lhs = out
+        alive = np.arange(start, stop)
         for side in sides:
-            pairs = side[alive]
-            given, total = pairs[:, 1:].reshape(-1, 2).T
-            rhs = _checked(conj._residuum(marginals[given], marginals[total]))
-            # a side with two right-side conditionals lists them in turn
-            if pairs.shape[1] == 3:
-                rhs = _checked(conj._conjoin(rhs[0::2], rhs[1::2]))
+            rows = side.take(alive, 0)
+            rhs = out.take(rows[:, 1], 0)
+            if rows.shape[1] == 3:
+                rhs = _checked(conj._conjoin(rhs, out.take(rows[:, 2], 0)))
             # both sides are range-checked, so no NaN reaches the comparison
-            alive = alive[np.max(np.abs(lhs_rows[pairs[:, 0, 0]] - rhs), axis=1) <= eps]
-        members += candidates[alive].tolist()
+            alive = alive[np.abs(lhs.take(rows[:, 0], 0) - rhs).max(axis=1) <= eps]
+        members += candidates.take(alive, 0).tolist()
     return members
 
 
@@ -386,14 +447,16 @@ def enumerate_relation(
     Candidates are grouped by their scope a|b|c and evaluated on that
     scope's frame, with the comparisons of in_independence and
     in_noninteractivity: scopes whose frames have at most CROSSOVER_CELLS
-    cells in blocks of at most BLOCK_CELLS cells, larger ones one
+    cells in blocks (see _block_route), on marginals gathered from one
+    concatenation of the lattice entries they read, larger ones one
     triplet at a time."""
     if not dist.normalised:
         raise NotNormalised("relation enumeration needs a normalised distribution")
     _check_relation_guard(len(dist.scope))
     check_eps(eps)
     kind = RelationKind(kind)
+    masks, groups = _plan(dist.table.shape, kind)
+    flat = np.concatenate([dist._marginal(m).ravel() for m in masks]) if masks else None
     memo = {}  # conditionals shared by the scopes enumerated one triplet at a time
-    rows = [t for group in _plan(dist.table.shape, kind)
-            for t in _scope_members(dist, conj, kind, eps, group, memo)]
+    rows = [t for group in groups for t in _scope_members(dist, conj, kind, eps, group, flat, memo)]
     return IndependenceRelation(dist.space, frozenset(triplets_from_masks(dist.scope, rows)))

@@ -38,7 +38,8 @@ from possind import (
     parse_conjunction,
     random_distribution,
 )
-from possind.independence import BLOCK_CELLS, CROSSOVER_CELLS
+from possind import independence
+from possind.independence import CROSSOVER_CELLS
 
 from conftest import SPACE3, distributions3, triplets3
 
@@ -548,11 +549,24 @@ class TestRoutesAgree:
             assert members == expected
 
     def test_crossover_tables_straddle_both_regimes(self):
-        # 12 candidates span all 3 variables: with frames of 12 they take
-        # several blocks, with frames of 13 they are evaluated one by one
-        assert 13**2 <= CROSSOVER_CELLS
-        assert 12**3 <= CROSSOVER_CELLS < 13**3
-        assert BLOCK_CELLS // 12**3 < 12
+        # 12 candidates span all 3 variables: with frames of 12 their
+        # conditionals take several blocks, with frames of 13 they are
+        # evaluated one by one; pair scopes take blocks in both
+        for kind in RelationKind:
+            for f in (12, 13):
+                (_, pairs), (candidates, whole) = independence._plan((f,) * 3, kind)[1]
+                assert len(candidates) == 12 and pairs is not None
+                if f == 12:
+                    assert len(whole[-1]) > 1  # the route's blocks
+                else:
+                    assert whole is None
+
+    @pytest.mark.parametrize("kind", list(RelationKind), ids=lambda k: k.value)
+    def test_groups_past_the_crossover_keep_only_their_candidate_rows(self, kind):
+        masks, groups = independence._plan((13,) * 3, kind)
+        assert [route is None for _, route in groups] == [False, True]
+        # the block route reads the lattice entries of the pair scopes only
+        assert masks == (0, 1, 2, 3, 4, 5, 6)
 
     @pytest.mark.parametrize("tile", [1, 23], ids=["blocks", "one-by-one"])
     def test_sides_differing_by_exactly_eps_are_members(self, tile):
@@ -678,6 +692,34 @@ class TestCustomConjunction:
             given = t.b | t.c
             assert np.array_equal(condition(dist, t.a, given, UnhashableHamacher()).table,
                                   condition(dist, t.a, given, Hamacher()).table)
+
+
+@pytest.fixture
+def block_cells(monkeypatch):
+    """Sets independence.BLOCK_CELLS; plans built under another value are dropped."""
+    def use(cells):
+        monkeypatch.setattr(independence, "BLOCK_CELLS", cells)
+        independence._plan.cache_clear()
+
+    yield use
+    independence._plan.cache_clear()
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("kind", list(RelationKind), ids=lambda k: k.value)
+    def test_relations_do_not_depend_on_the_block_size(self, kind, block_cells):
+        # at 1 cell every unit takes a block of its own, at 64 a few units share one
+        tables = seeded_tables() + mixed_tables() + crossover_tables()
+
+        def relations():
+            return [enumerate_relation(Distribution(space, space.names, table), conj, kind)
+                    for space, table in tables for conj in ROUTE_FAMILIES + (Hamacher(),)]
+
+        block_cells(independence.BLOCK_CELLS)
+        expected = relations()
+        for cells in (1, 64):
+            block_cells(cells)
+            assert relations() == expected
 
 
 class TestEpsValidation:
