@@ -198,9 +198,9 @@ def residuum_oracle(conj: Conjunction, a, b, steps: int = 10_000) -> float:
 
 def parse_conjunction(text: str) -> Conjunction:
     """Parse a conjunction spec string: min | luka[:pow=p] | prod[:pow=p]."""
-    head, _, tail = text.strip().partition(":")
+    head, sep, tail = text.strip().partition(":")
     gen = IDENTITY
-    if tail:
+    if sep:
         key, _, value = tail.partition("=")
         if key != "pow" or not value:
             raise ValueError(f"bad conjunction option {tail!r} (expected pow=<p>)")

@@ -377,6 +377,8 @@ def fuzz_properties(config: FuzzConfig) -> FuzzReport:
         raise ValueError(f"trials must be >= 0, got {config.trials}")
     if config.seed < 0:
         raise ValueError(f"seed must be >= 0, got {config.seed}")
+    if config.grid < 1:
+        raise ValueError(f"grid must be >= 1, got {config.grid}")
     _check_relation_guard(config.variables)
     space = _fuzz_space(config)
     mined: list[MinedCounterexample] = []

@@ -52,7 +52,7 @@ BLOCK_CELLS = 1 << 13
 #: conditionals on smaller frames and stops at the first failed side.
 CROSSOVER_CELLS = 1 << 11
 
-#: Enumeration keeps the plans (_plan) of this many (frame sizes, kind) pairs.
+#: Enumeration keeps the plans (_plan) of this many frame shapes.
 PLAN_CACHE_SIZE = 8
 
 
@@ -297,14 +297,14 @@ def construct_luka_instance(
     return Distribution(space, full, table), t
 
 
-@functools.cache
-def _row_tables(k: int, kind: RelationKind):
+def _row_tables(k: int):
     """Local (a, b, c) masks of the candidate triplets that span all of k
     bits, ordered by c and then a: a unit is the candidates with one c,
     and row r is candidate r's conditional (given c, total a | c), so a
     unit's rows are its pairs c < t < all k bits, strict subsets.  Per
-    side, a (triplets, 1 + conditionals) array: the given mask of the left
-    side, whose total is all k bits, then the rows of the right side."""
+    side, independence's two and then no-interactivity's one, a
+    (triplets, 1 + conditionals) array: the given mask of the left side,
+    whose total is all k bits, then the rows of the right side."""
     full = (1 << k) - 1
     c, a = np.divmod(np.arange(1 << 2 * k, dtype=np.int32), 1 << k)
     keep = ((a & c) == 0) & (a > 0) & ((a | c) != full)
@@ -312,18 +312,18 @@ def _row_tables(k: int, kind: RelationKind):
     row = np.zeros((1 << k, 1 << k), dtype=np.int32)
     row[c, a | c] = np.arange(len(a))
     sides = tuple(np.stack([left[1], *(row[given, x | given] for x, given in right)], axis=1)
-                  for left, *right in _side_pairs(kind, a, b, c))
-    return _read_only((np.stack([a, b, c], axis=1), sides))
+                  for kind in RelationKind for left, *right in _side_pairs(kind, a, b, c))
+    return np.stack([a, b, c], axis=1), sides
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _plan(shape: tuple, kind: RelationKind) -> tuple:
-    """Read-only (masks, groups): the masks whose lattice entries the block
-    route reads, in the order enumerate_relation concatenates them, and
-    per group of scopes whose axes have the same frame sizes (candidates,
-    route): its candidates' (a, b, c) masks, scope by scope in
-    _row_tables' order, and route None past CROSSOVER_CELLS, else
-    _block_route's."""
+def _plan(shape: tuple) -> tuple:
+    """Read-only (masks, groups) of tables of this shape, for both kinds:
+    the masks whose lattice entries the block route reads, in the order
+    enumerate_relation concatenates them, and per group of scopes whose
+    axes have the same frame sizes (candidates, route): its candidates'
+    (a, b, c) masks, scope by scope in _row_tables' order, and route None
+    past CROSSOVER_CELLS, else _block_route's."""
     n = len(shape)
     groups = {}  # frame sizes of a scope's axes -> scope masks
     for scope in range(1 << n):
@@ -342,9 +342,9 @@ def _plan(shape: tuple, kind: RelationKind) -> tuple:
     offset = np.zeros(1 << n, dtype=np.intp)
     offset[masks] = np.cumsum([0, *entry_cells])[:-1]
     return _read_only((tuple(masks), tuple(
-        (spread[:, _row_tables(len(sizes), kind)[0]].reshape(-1, 3),
-         _block_route(sizes, offset[spread], kind) if sizes in blocked else None)
-        for sizes, spread in spreads.items())))
+        (spread[:, local].reshape(-1, 3),
+         _block_route(sizes, offset[spread], local, sides) if sizes in blocked else None)
+        for sizes, spread in spreads.items() for local, sides in [_row_tables(len(sizes))])))
 
 
 def _read_only(tables: tuple) -> tuple:
@@ -357,7 +357,7 @@ def _read_only(tables: tuple) -> tuple:
     return tables
 
 
-def _block_route(sizes, base, kind) -> tuple:
+def _block_route(sizes, base, local, sides) -> tuple:
     """(base, cells, (given, total), sides, blocks) of the scopes whose axes
     have frame sizes `sizes`.  Marginal row (q << k) + x, the lattice entry
     of local mask x of scope q broadcast onto its frame, is the
@@ -368,8 +368,7 @@ def _block_route(sizes, base, kind) -> tuple:
     units of at most BLOCK_CELLS cells of rows or one larger unit; the
     first also conditions the left sides.  A side is a (candidates, 1 +
     conditionals) array: its left side's row, then its right side's rows
-    within their block."""
-    local, sides = _row_tables(len(sizes), kind)
+    within their block.  `local, sides` is _row_tables(k)."""
     k, cells, n = len(sizes), math.prod(sizes), len(local)
     q = np.arange(len(base), dtype=np.int32)[:, None]
     left_rows = len(base) << k
@@ -401,8 +400,8 @@ def _block_route(sizes, base, kind) -> tuple:
 
 def _scope_members(dist, conj, kind, eps, group, flat, memo) -> list:
     """(a, b, c) masks of the members among the candidates of `group`, one
-    group of _plan(dist.table.shape, kind); `flat` concatenates the
-    lattice entries of the plan's masks.
+    group of _plan(dist.table.shape), whose block route holds the sides of
+    both kinds; `flat` concatenates the lattice entries of the plan's masks.
 
     Small frames are evaluated block by block on marginals broadcast onto
     the scope's frame: one residuum call per block conditions every pair
@@ -417,6 +416,7 @@ def _scope_members(dist, conj, kind, eps, group, flat, memo) -> list:
                 if all(np.max(np.abs(lhs - rhs)) <= eps
                        for lhs, rhs in _membership_sides(dist, conj, kind, *t, memo))]
     base, cells, (given, total), sides, blocks = route
+    sides = sides[:2] if kind is RelationKind.INDEPENDENCE else sides[2:]
     # given[:L] lists the L marginal rows in turn, so these rows are the
     # marginal rows, then the first block's other givens: its given operand.
     # Rows are gathered with take, which dispatches faster than indexing.
@@ -455,7 +455,7 @@ def enumerate_relation(
     _check_relation_guard(len(dist.scope))
     check_eps(eps)
     kind = RelationKind(kind)
-    masks, groups = _plan(dist.table.shape, kind)
+    masks, groups = _plan(dist.table.shape)
     flat = np.concatenate([dist._marginal(m).ravel() for m in masks]) if masks else None
     memo = {}  # conditionals shared by the scopes enumerated one triplet at a time
     rows = [t for group in groups for t in _scope_members(dist, conj, kind, eps, group, flat, memo)]

@@ -204,6 +204,11 @@ class TestFuzz:
     def test_usage_error_on_bad_frame(self, capsys):
         assert main(["fuzz", "--trials", "1", "--frame", "0"]) == 2
 
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_usage_error_on_bad_grid_even_without_trials(self, capsys, grid):
+        assert main(["fuzz", "--trials", "0", "--grid", grid]) == 2
+        assert f"grid must be >= 1, got {grid}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("variables", ["1", "0", "-2"])
     def test_usage_error_on_too_few_variables(self, capsys, variables):
         # every relation over fewer than two variables is empty

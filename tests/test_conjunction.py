@@ -351,7 +351,8 @@ class TestParse:
         assert parse_conjunction(conj.spec_string()) == conj
 
     @pytest.mark.parametrize(
-        "text", ["frank", "min:pow=2", "luka:pow=", "luka:gen=2", "prod:pow=abc"]
+        "text",
+        ["frank", "min:pow=2", "luka:pow=", "luka:gen=2", "prod:pow=abc", "luka:", "prod:", "min:"],
     )
     def test_rejects_malformed_specs(self, text):
         with pytest.raises(ValueError):

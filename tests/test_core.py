@@ -1,6 +1,9 @@
 """Spaces, distributions, marginalization, extension and comparison."""
 
+import importlib
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,3 +306,17 @@ class TestTriplets:
     def test_single_variable_space_rejected(self):
         with pytest.raises(TooSmall):
             enumerate_triplets(build_space([("X1", ["0", "1"])]))
+
+
+class TestReadme:
+    def test_stated_constants_match_the_code(self):
+        # README states constants as `possind.<module>.<NAME>` = <value>, 10^7 for 10**7
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        stated = re.findall(r"`possind\.(\w+)\.([A-Z_]+)`\s+=\s+([0-9](?:[0-9e.^-]*[0-9])?)",
+                            readme)
+        assert {name for _, name, _ in stated} >= {
+            "CROSSOVER_CELLS", "PLAN_CACHE_SIZE", "ENCODED_NAMES", "MIN_POWER", "TABLE_GUARD"}
+        for module, name, value in stated:
+            base, _, exponent = value.partition("^")
+            expected = int(base) ** int(exponent) if exponent else float(value)
+            assert getattr(importlib.import_module(f"possind.{module}"), name) == expected, name

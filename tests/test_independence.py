@@ -552,21 +552,27 @@ class TestRoutesAgree:
         # 12 candidates span all 3 variables: with frames of 12 their
         # conditionals take several blocks, with frames of 13 they are
         # evaluated one by one; pair scopes take blocks in both
-        for kind in RelationKind:
-            for f in (12, 13):
-                (_, pairs), (candidates, whole) = independence._plan((f,) * 3, kind)[1]
-                assert len(candidates) == 12 and pairs is not None
-                if f == 12:
-                    assert len(whole[-1]) > 1  # the route's blocks
-                else:
-                    assert whole is None
+        for f in (12, 13):
+            (_, pairs), (candidates, whole) = independence._plan((f,) * 3)[1]
+            assert len(candidates) == 12 and pairs is not None
+            if f == 12:
+                assert len(whole[-1]) > 1  # the route's blocks
+            else:
+                assert whole is None
 
     @pytest.mark.parametrize("kind", list(RelationKind), ids=lambda k: k.value)
     def test_groups_past_the_crossover_keep_only_their_candidate_rows(self, kind):
-        masks, groups = independence._plan((13,) * 3, kind)
+        masks, groups = independence._plan((13,) * 3)
         assert [route is None for _, route in groups] == [False, True]
         # the block route reads the lattice entries of the pair scopes only
         assert masks == (0, 1, 2, 3, 4, 5, 6)
+        # the pair route holds independence's two sides, then no-interactivity's one,
+        # each its left side's row and one row per right-side conditional
+        sides = groups[0][1][3]
+        ours = sides[:2] if kind is RelationKind.INDEPENDENCE else sides[2:]
+        assert len(ours) == (2 if kind is RelationKind.INDEPENDENCE else 1)
+        assert [side.shape[1] for side in ours] == [
+            len(pairs) for pairs in independence._side_pairs(kind, 1, 2, 0)]
 
     @pytest.mark.parametrize("tile", [1, 23], ids=["blocks", "one-by-one"])
     def test_sides_differing_by_exactly_eps_are_members(self, tile):
@@ -703,6 +709,30 @@ def block_cells(monkeypatch):
 
     yield use
     independence._plan.cache_clear()
+
+
+def _arrays(tables):
+    """Every array in `tables` or in tuples in it."""
+    for table in tables:
+        if isinstance(table, np.ndarray):
+            yield table
+        elif isinstance(table, tuple):
+            yield from _arrays(table)
+
+
+class TestPlan:
+    def test_both_kinds_share_one_plan_per_shape(self):
+        independence._plan.cache_clear()
+        space, table = seeded_tables()[0]
+        for kind in RelationKind:
+            enumerate_relation(Distribution(space, space.names, table), MIN, kind)
+        assert independence._plan.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (13, 13, 13)], ids=["blocks", "one-by-one"])
+    def test_plans_are_read_only(self, shape):
+        # plans are shared by every call on tables of one shape
+        arrays = list(_arrays(independence._plan(shape)))
+        assert arrays and not any(array.flags.writeable for array in arrays)
 
 
 class TestBlocks:
