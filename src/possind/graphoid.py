@@ -47,7 +47,7 @@ from .core import (
     triplets_from_masks,
 )
 from .errors import TooSmall
-from .independence import RelationKind, _check_relation_guard, enumerate_relation
+from .independence import RelationKind, _check_relation_guard, _enumerate_relations
 from .serialize import reproducer_document, write_json
 
 import numpy as np
@@ -92,7 +92,9 @@ def _choices(width: int) -> tuple[np.ndarray, int]:
     order of bit positions."""
     picks = [[int(i in k) for i in range(width)]
              for r in range(1, width + 1) for k in itertools.combinations(range(width), r)]
-    return np.array(picks, dtype=np.int64).T, len(picks)
+    picks = np.array(picks, dtype=np.int64).T
+    picks.setflags(write=False)  # shared by every check of this width
+    return picks, picks.shape[1]
 
 
 _NONE = np.zeros(0, np.int64)
@@ -336,14 +338,14 @@ def _write_reproducer(config, failure: FuzzFailure) -> None:
 
 
 def _claim_checks(dist, conj, eps, gaps: list):
-    """Enumerate the two relations of `dist` under `conj` in turn, yielding
-    after each the (property, detail) of the claim it breaks, or None.  The
-    intersection gaps of a semigraphoid no-interactivity relation go to `gaps`."""
-    i_rel = enumerate_relation(dist, conj, RelationKind.INDEPENDENCE, eps)
+    """Enumerate the two relations of `dist` under `conj` in one pass, then
+    check them in turn, yielding after each the (property, detail) of the
+    claim it breaks, or None.  The intersection gaps of a semigraphoid
+    no-interactivity relation go to `gaps`."""
+    i_rel, ni_rel = _enumerate_relations(dist, conj, tuple(RelationKind), eps)
     report = is_graphoid(i_rel)
     yield None if report.holds else (
         "independence relation is a graphoid", str(report.counterexamples[0]))
-    ni_rel = enumerate_relation(dist, conj, RelationKind.NON_INTERACTIVITY, eps)
     if isinstance(conj, LukasiewiczLike):
         missing = next((t for t in i_rel if t not in ni_rel), None)
         yield None if missing is None else (
@@ -379,6 +381,8 @@ def fuzz_properties(config: FuzzConfig) -> FuzzReport:
         raise ValueError(f"seed must be >= 0, got {config.seed}")
     if config.grid < 1:
         raise ValueError(f"grid must be >= 1, got {config.grid}")
+    if not config.conjunctions:
+        raise ValueError("conjunctions must not be empty")
     _check_relation_guard(config.variables)
     space = _fuzz_space(config)
     mined: list[MinedCounterexample] = []

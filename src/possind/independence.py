@@ -398,44 +398,47 @@ def _block_route(sizes, base, local, sides) -> tuple:
             blocks)
 
 
-def _scope_members(dist, conj, kind, eps, group, flat, memo) -> list:
-    """(a, b, c) masks of the members among the candidates of `group`, one
-    group of _plan(dist.table.shape), whose block route holds the sides of
-    both kinds; `flat` concatenates the lattice entries of the plan's masks.
+def _scope_members(dist, conj, kinds, eps, group, flat, memo) -> list:
+    """Per kind of `kinds`, the (a, b, c) masks of the members among the
+    candidates of `group`, one group of _plan(dist.table.shape), whose
+    block route holds the sides of both kinds; `flat` concatenates the
+    lattice entries of the plan's masks.
 
     Small frames are evaluated block by block on marginals broadcast onto
     the scope's frame: one residuum call per block conditions every pair
-    its candidates use, the first block's also every left side, and each
-    side is a gather from those, the next side only for the candidates
-    that passed.  Large frames are evaluated one candidate at a time on
-    keepdims conditionals kept in `memo`, as in_* does, stopping at the
-    first failed side."""
+    its candidates use, the first block's also every left side, for all
+    kinds at once.  Each side is a gather from those, the next side of a
+    kind only for the candidates that passed.  Large frames are evaluated
+    one candidate at a time on keepdims conditionals kept in `memo`, as
+    in_* does, stopping at the first failed side."""
     candidates, route = group
     if route is None:
-        return [t for t in candidates.tolist()
-                if all(np.max(np.abs(lhs - rhs)) <= eps
-                       for lhs, rhs in _membership_sides(dist, conj, kind, *t, memo))]
+        return [[t for t in candidates.tolist()
+                 if all(np.max(np.abs(lhs - rhs)) <= eps
+                        for lhs, rhs in _membership_sides(dist, conj, kind, *t, memo))]
+                for kind in kinds]
     base, cells, (given, total), sides, blocks = route
-    sides = sides[:2] if kind is RelationKind.INDEPENDENCE else sides[2:]
+    kind_sides = [sides[:2] if kind is RelationKind.INDEPENDENCE else sides[2:] for kind in kinds]
     # given[:L] lists the L marginal rows in turn, so these rows are the
     # marginal rows, then the first block's other givens: its given operand.
     # Rows are gathered with take, which dispatches faster than indexing.
     marginals = flat[(base + cells).reshape(-1, cells.shape[1]).take(given[:blocks[0][1]], 0)]
-    members = []
+    members = [[] for _ in kinds]
     for lo, hi, start, stop in blocks:
         out = _checked(conj._residuum(marginals.take(given[lo:hi], 0) if lo else marginals,
                                       marginals.take(total[lo:hi], 0)))
         if lo == 0:
             lhs = out
-        alive = np.arange(start, stop)
-        for side in sides:
-            rows = side.take(alive, 0)
-            rhs = out.take(rows[:, 1], 0)
-            if rows.shape[1] == 3:
-                rhs = _checked(conj._conjoin(rhs, out.take(rows[:, 2], 0)))
-            # both sides are range-checked, so no NaN reaches the comparison
-            alive = alive[np.abs(lhs.take(rows[:, 0], 0) - rhs).max(axis=1) <= eps]
-        members += candidates.take(alive, 0).tolist()
+        for found, sides in zip(members, kind_sides):
+            alive = np.arange(start, stop)
+            for side in sides:
+                rows = side.take(alive, 0)
+                rhs = out.take(rows[:, 1], 0)
+                if rows.shape[1] == 3:
+                    rhs = _checked(conj._conjoin(rhs, out.take(rows[:, 2], 0)))
+                # both sides are range-checked, so no NaN reaches the comparison
+                alive = alive[np.abs(lhs.take(rows[:, 0], 0) - rhs).max(axis=1) <= eps]
+            found += candidates.take(alive, 0).tolist()
     return members
 
 
@@ -449,14 +452,25 @@ def enumerate_relation(
     in_noninteractivity: scopes whose frames have at most CROSSOVER_CELLS
     cells in blocks (see _block_route), on marginals gathered from one
     concatenation of the lattice entries they read, larger ones one
-    triplet at a time."""
+    triplet at a time.  This is _enumerate_relations of the one kind."""
+    return _enumerate_relations(dist, conj, (kind,), eps)[0]
+
+
+def _enumerate_relations(dist, conj, kinds, eps=EPS) -> tuple:
+    """enumerate_relation of each kind of `kinds`, in one pass: each block
+    is conditioned once for all kinds, and the conditionals of the scopes
+    enumerated one triplet at a time are shared by all kinds."""
     if not dist.normalised:
         raise NotNormalised("relation enumeration needs a normalised distribution")
     _check_relation_guard(len(dist.scope))
     check_eps(eps)
-    kind = RelationKind(kind)
+    kinds = tuple(map(RelationKind, kinds))
     masks, groups = _plan(dist.table.shape)
     flat = np.concatenate([dist._marginal(m).ravel() for m in masks]) if masks else None
     memo = {}  # conditionals shared by the scopes enumerated one triplet at a time
-    rows = [t for group in groups for t in _scope_members(dist, conj, kind, eps, group, flat, memo)]
-    return IndependenceRelation(dist.space, frozenset(triplets_from_masks(dist.scope, rows)))
+    found = [[] for _ in kinds]
+    for group in groups:
+        for rows, members in zip(found, _scope_members(dist, conj, kinds, eps, group, flat, memo)):
+            rows += members
+    return tuple(IndependenceRelation(dist.space, frozenset(triplets_from_masks(dist.scope, rows)))
+                 for rows in found)

@@ -308,13 +308,12 @@ class TestFuzz:
 
         # a planted independence member missing from no-interactivity is
         # a violated containment claim
-        def planted(dist, conj, kind, eps):
-            full = kind is RelationKind.INDEPENDENCE
-            return IndependenceRelation(
-                dist.space, frozenset(enumerate_triplets(dist.space) if full else ())
-            )
+        def planted(dist, conj, kinds, eps):
+            full = frozenset(enumerate_triplets(dist.space))
+            return tuple(IndependenceRelation(dist.space, full if kind is RelationKind.INDEPENDENCE
+                                              else frozenset()) for kind in kinds)
 
-        monkeypatch.setattr(graphoid, "enumerate_relation", planted)
+        monkeypatch.setattr(graphoid, "_enumerate_relations", planted)
         report = fuzz_properties(config)
         assert not report.ok
         failure = report.failures[0]
@@ -348,6 +347,11 @@ class TestFuzz:
                 fuzz_properties(FuzzConfig(trials=3, variables=variables))
         with pytest.raises(ValueError):
             fuzz_properties(FuzzConfig(trials=-5))
+
+    def test_no_conjunctions_rejected(self):
+        # a run that checks no relation must not report ok
+        with pytest.raises(ValueError, match="conjunctions"):
+            fuzz_properties(FuzzConfig(trials=5, conjunctions=()))
 
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
     def test_bad_eps_rejected(self, eps):

@@ -11,6 +11,7 @@ from possind import (
     BadTriplet,
     Conjunction,
     Distribution,
+    FuzzConfig,
     Generator,
     LukasiewiczLike,
     Min,
@@ -32,13 +33,14 @@ from possind import (
     construct_luka_instance,
     enumerate_relation,
     enumerate_triplets,
+    fuzz_properties,
     in_independence,
     in_noninteractivity,
     make_distribution,
     parse_conjunction,
     random_distribution,
 )
-from possind import independence
+from possind import graphoid, independence
 from possind.independence import CROSSOVER_CELLS
 
 from conftest import SPACE3, distributions3, triplets3
@@ -680,6 +682,19 @@ class TestCustomConjunction:
         assert enumerate_relation(dist, NaiveHamacher(), independence) == enumerate_relation(
             dist, Hamacher(), independence)
 
+    @pytest.mark.parametrize("frame", [2, 50], ids=["blocks", "one-by-one"])
+    def test_nan_conjoined_side_stops_a_fuzz_run(self, frame):
+        # the table of the test above: its independence relation is a
+        # graphoid, and its no-interactivity relation is refused
+        space = build_space([(f"X{i + 1}", [str(v) for v in range(frame)]) for i in range(2)])
+        table = np.zeros((frame, frame))
+        table[0, 0] = 1.0
+        config = FuzzConfig(trials=0, variables=2, frame_size=frame,
+                            conjunctions=(NaiveHamacher(),),
+                            inject=(Distribution(space, space.names, table),))
+        with pytest.raises(OutOfRange):
+            fuzz_properties(config)
+
     @pytest.mark.parametrize("f", [12, 13], ids=["blocks", "one-by-one"])
     def test_unhashable_conjunction_answers_as_its_hashable_twin(self, f):
         # the Hamacher product of an X1 factor and an X2,X3 factor, on
@@ -734,6 +749,12 @@ class TestPlan:
         arrays = list(_arrays(independence._plan(shape)))
         assert arrays and not any(array.flags.writeable for array in arrays)
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_axiom_choices_are_read_only(self, width):
+        # like the plans, shared by every axiom check of this width
+        picks, subsets = graphoid._choices(width)
+        assert picks.shape == (width, subsets) and not picks.flags.writeable
+
 
 class TestBlocks:
     @pytest.mark.parametrize("kind", list(RelationKind), ids=lambda k: k.value)
@@ -750,6 +771,22 @@ class TestBlocks:
         for cells in (1, 64):
             block_cells(cells)
             assert relations() == expected
+
+    def test_both_kinds_in_one_pass_equal_one_kind_at_a_time(self, block_cells):
+        # independence's early exit must not carry over to no-interactivity,
+        # and every block must compare against the left sides of the first
+        dists = [Distribution(space, space.names, table)
+                 for space, table in seeded_tables() + mixed_tables() + crossover_tables()]
+        conjs = ROUTE_FAMILIES + (Hamacher(),)
+        kinds = tuple(RelationKind)
+        default = independence.BLOCK_CELLS
+        block_cells(default)
+        expected = [tuple(enumerate_relation(dist, conj, kind) for kind in kinds)
+                    for dist in dists for conj in conjs]
+        for cells in (1, 64, default):
+            block_cells(cells)
+            assert [independence._enumerate_relations(dist, conj, kinds)
+                    for dist in dists for conj in conjs] == expected
 
 
 class TestEpsValidation:
