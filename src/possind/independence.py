@@ -37,7 +37,7 @@ from .core import (
     triplet_count,
     triplets_from_masks,
 )
-from .errors import BadTriplet, NotNormalised, ScopeMismatch, TooLarge
+from .errors import BadTriplet, NotNormalised, ScopeMismatch, TooLarge, TooSmall
 
 #: Enumeration refuses spaces with more candidate triplets than this.
 RELATION_GUARD = 100_000
@@ -299,21 +299,18 @@ def construct_luka_instance(
 
 def _row_tables(k: int):
     """Local (a, b, c) masks of the candidate triplets that span all of k
-    bits, ordered by c and then a: a unit is the candidates with one c,
-    and row r is candidate r's conditional (given c, total a | c), so a
-    unit's rows are its pairs c < t < all k bits, strict subsets.  Per
-    side, independence's two and then no-interactivity's one, a
-    (triplets, 1 + conditionals) array: the given mask of the left side,
-    whose total is all k bits, then the rows of the right side."""
+    bits, ordered by c and then a, and the index of each one's mirror
+    (b, a, c) in that order.  A unit is the candidates with one c, so a
+    candidate's mirror is in its unit, and a unit's right-side
+    conditionals, a given c for each of its candidates a, are its pairs
+    c < t < all k bits, strict subsets."""
     full = (1 << k) - 1
     c, a = np.divmod(np.arange(1 << 2 * k, dtype=np.int32), 1 << k)
     keep = ((a & c) == 0) & (a > 0) & ((a | c) != full)
     a, b, c = a[keep], (full ^ a ^ c)[keep], c[keep]
-    row = np.zeros((1 << k, 1 << k), dtype=np.int32)
-    row[c, a | c] = np.arange(len(a))
-    sides = tuple(np.stack([left[1], *(row[given, x | given] for x, given in right)], axis=1)
-                  for kind in RelationKind for left, *right in _side_pairs(kind, a, b, c))
-    return np.stack([a, b, c], axis=1), sides
+    index = np.zeros((1 << k, 1 << k), dtype=np.int32)
+    index[c, a] = np.arange(len(a))
+    return np.stack([a, b, c], axis=1), index[c, b]
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -343,8 +340,8 @@ def _plan(shape: tuple) -> tuple:
     offset[masks] = np.cumsum([0, *entry_cells])[:-1]
     return _read_only((tuple(masks), tuple(
         (spread[:, local].reshape(-1, 3),
-         _block_route(sizes, offset[spread], local, sides) if sizes in blocked else None)
-        for sizes, spread in spreads.items() for local, sides in [_row_tables(len(sizes))])))
+         _block_route(sizes, offset[spread], local, mirror) if sizes in blocked else None)
+        for sizes, spread in spreads.items() for local, mirror in [_row_tables(len(sizes))])))
 
 
 def _read_only(tables: tuple) -> tuple:
@@ -357,18 +354,20 @@ def _read_only(tables: tuple) -> tuple:
     return tables
 
 
-def _block_route(sizes, base, local, sides) -> tuple:
-    """(base, cells, (given, total), sides, blocks) of the scopes whose axes
-    have frame sizes `sizes`.  Marginal row (q << k) + x, the lattice entry
-    of local mask x of scope q broadcast onto its frame, is the
-    concatenation at base[q, x] + cells[x].  Conditional row r conditions
-    marginal row total[r] on given[r]: first the left sides, (q << k) + u
-    given u of scope q, then one row per candidate.  A block (lo, hi,
-    start, stop) conditions rows lo:hi for candidates start:stop, whole
-    units of at most BLOCK_CELLS cells of rows or one larger unit; the
-    first also conditions the left sides.  A side is a (candidates, 1 +
-    conditionals) array: its left side's row, then its right side's rows
-    within their block.  `local, sides` is _row_tables(k)."""
+def _block_route(sizes, base, local, mirror) -> tuple:
+    """(base, cells, (given, total), left, mirror, blocks) of the scopes
+    whose axes have frame sizes `sizes`.  Marginal row (q << k) + x, the
+    lattice entry of local mask x of scope q broadcast onto its frame, is
+    the concatenation at base[q, x] + cells[x].  Conditional row r
+    conditions marginal row total[r] on given[r]: first the left sides,
+    (q << k) + u given u of scope q, then one row per candidate, a given
+    c.  A block (lo, hi, start, stop) conditions rows lo:hi for
+    candidates start:stop, whole units of at most BLOCK_CELLS cells of
+    rows or one larger unit; the first also conditions the left sides.
+    So candidates start:stop own the block's last stop - start rows.
+    Per candidate, left holds its two left-side rows, given b | c and
+    given c, and mirror the position of its mirror (b, a, c) within its
+    block.  `local, mirror` is _row_tables(k)."""
     k, cells, n = len(sizes), math.prod(sizes), len(local)
     q = np.arange(len(base), dtype=np.int32)[:, None]
     left_rows = len(base) << k
@@ -384,31 +383,31 @@ def _block_route(sizes, base, local, sides) -> tuple:
     edges.append(ends[-1])
     blocks = tuple((left_rows + start if start else 0, left_rows + stop, start, stop)
                    for start, stop in zip(edges, edges[1:]))
-    shift = np.repeat(np.array([left_rows - lo for lo, *_ in blocks], np.int32), np.diff(edges))
-    sides = tuple(np.stack([((q << k) + side[:, 0]).ravel(),
-                            *(((q * n) + rows).ravel() + shift for rows in side[:, 1:].T)],
-                           axis=1) for side in sides)
+    left = (q << k)[..., None] + np.stack([local[:, 1] | local[:, 2], local[:, 2]], 1)
+    mirror = ((q * n) + mirror).ravel() - np.repeat(np.array(edges[:-1], np.int32), np.diff(edges))
     # C-order strides of each local mask's entry, 0 on the axes it drops
     bits = np.arange(1 << k)[:, None] >> np.arange(k) & 1
     kept = np.where(bits, sizes, 1)
     strides = np.cumprod(kept[:, ::-1], axis=1)[:, ::-1] // kept * bits
     cell_index = strides @ np.indices(sizes).reshape(k, -1)
     # the smallest type that holds a cell index: the plan keeps 2^k * cells of them
-    return (base[..., None], cell_index.astype(np.min_scalar_type(cells - 1)), operands, sides,
-            blocks)
+    return (base[..., None], cell_index.astype(np.min_scalar_type(cells - 1)), operands,
+            left.reshape(-1, 2), mirror, blocks)
 
 
 def _scope_members(dist, conj, kinds, eps, group, flat, memo) -> list:
     """Per kind of `kinds`, the (a, b, c) masks of the members among the
-    candidates of `group`, one group of _plan(dist.table.shape), whose
-    block route holds the sides of both kinds; `flat` concatenates the
-    lattice entries of the plan's masks.
+    candidates of `group`, one group of _plan(dist.table.shape); `flat`
+    concatenates the lattice entries of the plan's masks.
 
     Small frames are evaluated block by block on marginals broadcast onto
     the scope's frame: one residuum call per block conditions every pair
     its candidates use, the first block's also every left side, for all
-    kinds at once.  Each side is a gather from those, the next side of a
-    kind only for the candidates that passed.  Large frames are evaluated
+    kinds at once.  Each kind then makes one comparison per candidate:
+    independence of a given b | c against a given c, and the second side
+    of (a; b | c) is the first of its mirror (b; a | c); no-interactivity
+    of a | b given c against a given c conjoined with b given c, the
+    mirror's own conditional.  Large frames are evaluated
     one candidate at a time on keepdims conditionals kept in `memo`, as
     in_* does, stopping at the first failed side."""
     candidates, route = group
@@ -417,28 +416,25 @@ def _scope_members(dist, conj, kinds, eps, group, flat, memo) -> list:
                  if all(np.max(np.abs(lhs - rhs)) <= eps
                         for lhs, rhs in _membership_sides(dist, conj, kind, *t, memo))]
                 for kind in kinds]
-    base, cells, (given, total), sides, blocks = route
-    kind_sides = [sides[:2] if kind is RelationKind.INDEPENDENCE else sides[2:] for kind in kinds]
-    # given[:L] lists the L marginal rows in turn, so these rows are the
-    # marginal rows, then the first block's other givens: its given operand.
-    # Rows are gathered with take, which dispatches faster than indexing.
-    marginals = flat[(base + cells).reshape(-1, cells.shape[1]).take(given[:blocks[0][1]], 0)]
+    base, cells, (given, total), left, mirror, blocks = route
+    # rows are gathered with take, which dispatches faster than indexing
+    marginals = flat[(base + cells).reshape(-1, cells.shape[1])]
     members = [[] for _ in kinds]
     for lo, hi, start, stop in blocks:
-        out = _checked(conj._residuum(marginals.take(given[lo:hi], 0) if lo else marginals,
+        out = _checked(conj._residuum(marginals.take(given[lo:hi], 0),
                                       marginals.take(total[lo:hi], 0)))
         if lo == 0:
             lhs = out
-        for found, sides in zip(members, kind_sides):
-            alive = np.arange(start, stop)
-            for side in sides:
-                rows = side.take(alive, 0)
-                rhs = out.take(rows[:, 1], 0)
-                if rows.shape[1] == 3:
-                    rhs = _checked(conj._conjoin(rhs, out.take(rows[:, 2], 0)))
-                # both sides are range-checked, so no NaN reaches the comparison
-                alive = alive[np.abs(lhs.take(rows[:, 0], 0) - rhs).max(axis=1) <= eps]
-            found += candidates.take(alive, 0).tolist()
+        own, pair = out[start - stop:], mirror[start:stop]
+        for found, kind in zip(members, kinds):
+            # both sides are range-checked, so no NaN reaches a comparison
+            if kind is RelationKind.INDEPENDENCE:
+                ok = np.abs(lhs.take(left[start:stop, 0], 0) - own).max(axis=1) <= eps
+                ok &= ok.take(pair)
+            else:
+                rhs = _checked(conj._conjoin(own, own.take(pair, 0)))
+                ok = np.abs(lhs.take(left[start:stop, 1], 0) - rhs).max(axis=1) <= eps
+            found += candidates[start:stop][ok].tolist()
     return members
 
 
@@ -462,6 +458,8 @@ def _enumerate_relations(dist, conj, kinds, eps=EPS) -> tuple:
     enumerated one triplet at a time are shared by all kinds."""
     if not dist.normalised:
         raise NotNormalised("relation enumeration needs a normalised distribution")
+    if len(dist.scope) < 2:
+        raise TooSmall("relation enumeration needs at least two variables")
     _check_relation_guard(len(dist.scope))
     check_eps(eps)
     kinds = tuple(map(RelationKind, kinds))

@@ -234,6 +234,20 @@ class TestExamples:
 
 
 class TestErrorsAndDeterminism:
+    @pytest.mark.parametrize("variables", [0, 1])
+    @pytest.mark.parametrize("verb", [["enumerate"], ["axioms", "--level", "graphoid"]],
+                             ids=["enumerate", "axioms"])
+    def test_fewer_than_two_variables_exit_two(self, tmp_path, capsys, verb, variables):
+        # no triplet has two nonempty parts there: refused, not a vacuous verdict
+        doc = {"variables": [{"name": f"X{i + 1}", "frame": ["0", "1"]} for i in range(variables)],
+               "values": [{"assignment": {f"X{i + 1}": "0" for i in range(variables)},
+                           "possibility": 1}]}
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(doc))
+        assert main([*verb, "--dist", str(path), "--conj", "min",
+                     "--relation", "independence"]) == 2
+        assert "at least two variables" in capsys.readouterr().err
+
     def test_missing_file_exits_two(self, capsys):
         assert main([
             "marginalize", "--dist", "/nonexistent/path.json", "--keep", "X1",

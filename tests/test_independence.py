@@ -21,6 +21,7 @@ from possind import (
     RelationKind,
     ScopeMismatch,
     TooLarge,
+    TooSmall,
     Triplet,
     build_space,
     characterize_luka,
@@ -467,6 +468,15 @@ class TestEnumerateRelation:
         with pytest.raises(TooLarge):
             enumerate_relation(dist, MIN, RelationKind.INDEPENDENCE)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_variables_rejected(self, n):
+        # no triplet has two nonempty parts there, so every relation would be vacuously empty
+        space = build_space([(f"X{i + 1}", ("0", "1")) for i in range(n)])
+        dist = Distribution(space, space.names, np.ones((2,) * n))
+        for kind in RelationKind:
+            with pytest.raises(TooSmall):
+                enumerate_relation(dist, MIN, kind)
+
     def test_requires_normalised(self):
         half = make_distribution(
             SPACE3, SPACE3.names, [({"X1": "0", "X2": "0", "X3": "0"}, 0.5)]
@@ -568,13 +578,18 @@ class TestRoutesAgree:
         assert [route is None for _, route in groups] == [False, True]
         # the block route reads the lattice entries of the pair scopes only
         assert masks == (0, 1, 2, 3, 4, 5, 6)
-        # the pair route holds independence's two sides, then no-interactivity's one,
-        # each its left side's row and one row per right-side conditional
-        sides = groups[0][1][3]
-        ours = sides[:2] if kind is RelationKind.INDEPENDENCE else sides[2:]
-        assert len(ours) == (2 if kind is RelationKind.INDEPENDENCE else 1)
-        assert [side.shape[1] for side in ours] == [
-            len(pairs) for pairs in independence._side_pairs(kind, 1, 2, 0)]
+        # the pair route holds, per candidate of scope q, the rows (q << 2) + u of
+        # its two left sides, given u = b | c and given u = c, and the position of
+        # its mirror (b ; a | c) in its block: all six candidates share one block
+        candidates, route = groups[0]
+        left, mirror = route[3:5]
+        assert candidates.tolist() == [[1, 2, 0], [2, 1, 0], [1, 4, 0], [4, 1, 0],
+                                       [2, 4, 0], [4, 2, 0]]
+        assert left.tolist() == [[2, 0], [1, 0], [6, 4], [5, 4], [10, 8], [9, 8]]
+        assert mirror.tolist() == [1, 0, 3, 2, 5, 4]
+        # each kind's left side is one of the two: (X1 ; X2) conditions on {X2} or on {}
+        (_, given), *_ = independence._side_pairs(kind, 1, 2, 0)[0]
+        assert left[0, 0 if kind is RelationKind.INDEPENDENCE else 1] == given
 
     @pytest.mark.parametrize("tile", [1, 23], ids=["blocks", "one-by-one"])
     def test_sides_differing_by_exactly_eps_are_members(self, tile):
@@ -787,6 +802,33 @@ class TestBlocks:
             block_cells(cells)
             assert [independence._enumerate_relations(dist, conj, kinds)
                     for dist in dists for conj in conjs] == expected
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2,) * 6, (12, 12, 12)],
+                             ids=["2x3", "2x6", "12x3"])
+    def test_mirrors_stay_in_their_block(self, shape, block_cells):
+        # a block compares each candidate (a ; b | c) once and reads the rest
+        # of its verdict off its mirror (b ; a | c), which must be in its block;
+        # under min, this table has candidates whose mirror is not independent
+        rng = np.random.default_rng(0)
+        space = build_space([(f"X{i + 1}", [str(v) for v in range(f)])
+                             for i, f in enumerate(shape)])
+        table = np.minimum(_factor(rng, shape[:1] + (1,) * (len(shape) - 1)),
+                           _factor(rng, (1,) + shape[1:]))
+        dist = Distribution(space, space.names, table)
+        tests = {RelationKind.INDEPENDENCE: in_independence,
+                 RelationKind.NON_INTERACTIVITY: in_noninteractivity}
+        expected = {kind: {t for t in enumerate_triplets(space) if test(dist, t, MIN).verdict}
+                    for kind, test in tests.items()}
+        for cells in (1, 64, independence.BLOCK_CELLS):
+            block_cells(cells)
+            for candidates, route in independence._plan(shape)[1]:
+                *_, mirror, blocks = route
+                for *_, start, stop in blocks:
+                    pair, own = mirror[start:stop], candidates[start:stop]
+                    assert np.array_equal(pair[pair], np.arange(stop - start))
+                    assert np.array_equal(own[pair], own[:, [1, 0, 2]])
+            for kind in RelationKind:
+                assert enumerate_relation(dist, MIN, kind).members == expected[kind]
 
 
 class TestEpsValidation:
