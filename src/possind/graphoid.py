@@ -12,16 +12,21 @@ order.  All instances of an axiom are produced at once by array
 operations: the splits of b or c, one popcount at a time; contraction's
 second premises by an equal-key join on (a, c); membership by binary
 search over codes of two bits per name, so a relation may name at most
-core.ENCODED_NAMES variables.  Only instances whose conclusion is missing
-become Counterexample objects.  They are listed by the first premise's
-rank, then by the split's position (fewest names first, then by sorted
-names) or the second premise's rank, as a loop over the members in
-sort_key order would find them.
+core.ENCODED_NAMES variables.  Several relations are checked in one pass:
+their rows are stacked, and each code and join key carries the relation's
+id in the bits above the code bits, so nothing matches across relations;
+a chunk whose ids would not fit in 63 bits is split.  Only instances whose
+conclusion is missing become Counterexample objects.  Each relation's are
+listed by the first premise's rank, then by the split's position (fewest
+names first, then by sorted names) or the second premise's rank, as a
+loop over the members in sort_key order would find them.
 
 The fuzzer draws random grid-valued distributions, induces independence
 and no-interactivity relations under the configured conjunctions, and
 checks the axiom level each relation is claimed to satisfy, and that
-Lukasiewicz-like independence lies inside no-interactivity.  Violations
+Lukasiewicz-like independence lies inside no-interactivity.  A trial
+enumerates the relations of all its conjunctions in one pass and checks
+their axioms in another, then walks the claims in order.  Violations
 of a claimed property abort the run with a serialized reproducer;
 intersection gaps of no-interactivity under min and product conjunctions
 are expected and are collected as mined counterexamples instead.
@@ -101,12 +106,18 @@ _NONE = np.zeros(0, np.int64)
 
 
 class _Rows:
-    """The members' (a, b, c) mask columns in sort_key order, over n names."""
+    """The (a, b, c) mask columns of the members of one or more relations
+    over n names, each relation's in sort_key order and the relations in
+    turn.  Column a carries each row's relation id rel in the bits above
+    2n, so every code and join key built from a member's a does too, and
+    none matches across relations."""
 
-    def __init__(self, rows: np.ndarray, n: int):
+    def __init__(self, rows: np.ndarray, n: int, rel: np.ndarray):
         self.rows = rows
-        self.a, self.b, self.c = rows.T
         self.n = n
+        self.tag = rel << 2 * n
+        a, self.b, self.c = rows.T
+        self.a = a | self.tag
         codes = self.code(self.a, self.b, self.c)
         self.sorter = codes.argsort()
         self.codes = codes[self.sorter]
@@ -117,7 +128,8 @@ class _Rows:
 
     def parts(self, code):
         """The (a, b, c) masks of codes."""
-        low, high = code & (1 << self.n) - 1, code >> self.n
+        ones = (1 << self.n) - 1
+        low, high = code & ones, code >> self.n & ones
         return low & ~high, high & ~low, low & high
 
     def rank_of(self, code) -> np.ndarray:
@@ -152,7 +164,7 @@ class _Rows:
 
 def _symmetry(m: _Rows):
     first = np.arange(len(m.a))
-    return first, first, first, m.code(m.b, m.a, m.c)
+    return first, first, first, m.code(m.b | m.tag, m.a ^ m.tag, m.c)
 
 
 def _decomposition(m: _Rows):
@@ -204,41 +216,78 @@ def check_axiom(rel: IndependenceRelation, axiom: str) -> AxiomReport:
     """Check one axiom exhaustively over the relation's members."""
     if axiom not in _AXIOM_CHECKS:
         raise ValueError(f"unknown axiom {axiom!r}, expected one of {AXIOMS}")
-    return _check_axioms(rel, (axiom,))
+    return _check_axioms((rel,), (axiom,))[0]
 
 
-def _check_axioms(rel, axioms) -> AxiomReport:
-    found = {axiom: [] for axiom in axioms}
-    if rel.members:
-        names, rows, members = rel._encoding
-        m = _Rows(rows, len(names))
-        first, second, tiebreak, code = zip(*(_AXIOM_CHECKS[axiom][0](m) for axiom in axioms))
-        code = np.concatenate(code)
-        # one lookup for the conclusions of every axiom
-        missing = (m.rank_of(code) < 0).nonzero()[0]
-        if missing.size:
-            of_axiom = np.arange(len(axioms)).repeat([len(column) for column in first])[missing]
-            first, second, tiebreak = (np.concatenate(column)[missing]
-                                       for column in (first, second, tiebreak))
-            order = np.lexsort((tiebreak, first, of_axiom))
-            parts = (part[order].tolist() for part in m.parts(code[missing]))
-            concluded = triplets_from_masks(names, list(zip(*parts)))
-            for k, f, r, t in zip(of_axiom[order].tolist(), first[order].tolist(),
-                                  second[order].tolist(), concluded):
-                premises = (members[f], members[r])[:_AXIOM_CHECKS[axioms[k]][1]]
-                found[axioms[k]].append(Counterexample(axioms[k], premises, t))
-    return AxiomReport({axiom: not cx for axiom, cx in found.items()},
-                       tuple(cx for cxs in found.values() for cx in cxs))
+def _check_axioms(rels, axioms) -> list[AxiomReport]:
+    """The AxiomReport on `axioms` of each relation of `rels`.  The
+    non-empty relations are checked together, in chunks as large as the
+    codes allow: a relation's id takes the bits above twice the chunk's
+    widest name count, and those must fit in 63 bits."""
+    found = [{axiom: [] for axiom in axioms} for _ in rels]
+    chunk, n = [], 0
+    for rel, cxs in zip(rels, found):
+        if rel.members:
+            width = len(rel._encoding[0])
+            if 2 * max(n, width) + len(chunk).bit_length() > 63:
+                _check_chunk(chunk, n, axioms)
+                chunk, n = [], 0
+            chunk.append((rel._encoding, cxs))
+            n = max(n, width)
+    if chunk:
+        _check_chunk(chunk, n, axioms)
+    return [AxiomReport({axiom: not cx for axiom, cx in cxs.items()},
+                        tuple(itertools.chain(*cxs.values())))
+            for cxs in found]
+
+
+def _check_chunk(chunk, n, axioms) -> None:
+    """Check the relations of `chunk`, (encoding, counterexamples by
+    axiom) pairs whose encodings use at most n names, in one pass, adding
+    each one's counterexamples in order."""
+    encodings, found = zip(*chunk)
+    names, rows, members = zip(*encodings)
+    rel = np.arange(len(rows)).repeat([len(r) for r in rows])
+    m = _Rows(np.concatenate(rows), n, rel)
+    first, second, tiebreak, code = zip(*(_AXIOM_CHECKS[axiom][0](m) for axiom in axioms))
+    code = np.concatenate(code)
+    # one lookup for the conclusions of every axiom
+    missing = (m.rank_of(code) < 0).nonzero()[0]
+    if not missing.size:
+        return
+    of_axiom = np.arange(len(axioms)).repeat([len(column) for column in first])[missing]
+    first, second, tiebreak = (np.concatenate(column)[missing]
+                               for column in (first, second, tiebreak))
+    order = np.lexsort((tiebreak, first, of_axiom, rel[first]))
+    of_rel = rel[first][order]
+    # each relation's conclusions over its own names
+    members = [t for part in members for t in part]
+    ends = of_rel.searchsorted(np.arange(len(rows) + 1)).tolist()
+    parts = list(zip(*(part[order].tolist() for part in m.parts(code[missing]))))
+    concluded = [t for r, (lo, hi) in enumerate(zip(ends, ends[1:]))
+                 for t in triplets_from_masks(names[r], parts[lo:hi])]
+    for r, k, f, s, t in zip(of_rel.tolist(), of_axiom[order].tolist(), first[order].tolist(),
+                             second[order].tolist(), concluded):
+        premises = (members[f], members[s])[:_AXIOM_CHECKS[axioms[k]][1]]
+        found[r][axioms[k]].append(Counterexample(axioms[k], premises, t))
 
 
 def is_semigraphoid(rel: IndependenceRelation) -> AxiomReport:
     """Symmetry, decomposition, weak union and contraction."""
-    return _check_axioms(rel, SEMIGRAPHOID_AXIOMS)
+    return _check_axioms((rel,), SEMIGRAPHOID_AXIOMS)[0]
 
 
 def is_graphoid(rel: IndependenceRelation) -> AxiomReport:
     """All five axioms, intersection included."""
-    return _check_axioms(rel, GRAPHOID_AXIOMS)
+    return _check_axioms((rel,), GRAPHOID_AXIOMS)[0]
+
+
+def _check_grid(grid: int) -> None:
+    """Refuse grids whose steps k = 0..grid numpy cannot draw as int64."""
+    if grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
+    if grid > np.iinfo(np.int64).max:
+        raise ValueError(f"grid must be <= {np.iinfo(np.int64).max}, got {grid}")
 
 
 def random_distribution(
@@ -249,8 +298,7 @@ def random_distribution(
     Values are drawn uniformly from {k/grid}; strictly positive draws skip
     k = 0.  Deterministic for a fixed seed.
     """
-    if grid < 1:
-        raise ValueError("grid must be >= 1")
+    _check_grid(grid)
     rng = np.random.default_rng(seed)
     lo = 1 if strictly_positive else 0
     vals = np.asarray(rng.integers(lo, grid + 1, size=space.shape(space.names)), dtype=float)
@@ -337,27 +385,35 @@ def _write_reproducer(config, failure: FuzzFailure) -> None:
     failure.path = str(path)
 
 
-def _claim_checks(dist, conj, eps, gaps: list):
-    """Enumerate the two relations of `dist` under `conj` in one pass, then
-    check them in turn, yielding after each the (property, detail) of the
-    claim it breaks, or None.  The intersection gaps of a semigraphoid
-    no-interactivity relation go to `gaps`."""
-    i_rel, ni_rel = _enumerate_relations(dist, conj, tuple(RelationKind), eps)
-    report = is_graphoid(i_rel)
-    yield None if report.holds else (
-        "independence relation is a graphoid", str(report.counterexamples[0]))
-    if isinstance(conj, LukasiewiczLike):
-        missing = next((t for t in i_rel if t not in ni_rel), None)
-        yield None if missing is None else (
-            "independence is contained in no-interactivity under lukasiewicz-like conjunctions",
-            f"independence member {missing} is not in no-interactivity")
-        return
-    report = is_graphoid(ni_rel)
-    if not all(report.verdicts[axiom] for axiom in SEMIGRAPHOID_AXIOMS):
-        yield "no-interactivity relation is a semigraphoid", str(report.counterexamples[0])
-        return
-    gaps.extend(cx for cx in report.counterexamples if cx.axiom == "intersection")
-    yield None
+def _claim_checks(dist, conjs, eps):
+    """Yield (conj, broken, gaps) for each claim on `dist` under each
+    conjunction of `conjs` in turn: broken is the (property, detail) of
+    the claim it breaks, or None, and gaps the intersection gaps of a
+    semigraphoid no-interactivity relation, which come with its claim,
+    each conjunction's last.  Every relation is enumerated in one pass
+    and every relation a claim is about is axiom-checked in one pass
+    before the first claim is yielded."""
+    relations = _enumerate_relations(dist, conjs, tuple(RelationKind), eps)
+    reports = iter(_check_axioms(
+        [rel for conj, (i_rel, ni_rel) in zip(conjs, relations)
+         for rel in ((i_rel,) if isinstance(conj, LukasiewiczLike) else (i_rel, ni_rel))],
+        GRAPHOID_AXIOMS))
+    for conj, (i_rel, ni_rel) in zip(conjs, relations):
+        report = next(reports)
+        yield conj, None if report.holds else (
+            "independence relation is a graphoid", str(report.counterexamples[0])), ()
+        if isinstance(conj, LukasiewiczLike):
+            missing = next((t for t in i_rel if t not in ni_rel), None)
+            yield conj, None if missing is None else (
+                "independence is contained in no-interactivity under lukasiewicz-like conjunctions",
+                f"independence member {missing} is not in no-interactivity"), ()
+            continue
+        report = next(reports)
+        if not all(report.verdicts[axiom] for axiom in SEMIGRAPHOID_AXIOMS):
+            yield conj, ("no-interactivity relation is a semigraphoid",
+                         str(report.counterexamples[0])), ()
+        else:
+            yield conj, None, [cx for cx in report.counterexamples if cx.axiom == "intersection"]
 
 
 def fuzz_properties(config: FuzzConfig) -> FuzzReport:
@@ -371,6 +427,12 @@ def fuzz_properties(config: FuzzConfig) -> FuzzReport:
     the no-interactivity relation must be a semigraphoid, and its
     intersection gaps are mined.  The first violation aborts the run,
     serializing the offending distribution as a reproducer.
+
+    Each trial makes one enumeration pass for all conjunctions and one
+    axiom pass over every relation a claim is about (see _claim_checks),
+    before it walks the claims conjunction by conjunction.  So an
+    OutOfRange raised while enumerating a later conjunction wins over a
+    claim that an earlier one breaks.
     """
     check_eps(config.eps)
     if config.variables < 2:
@@ -379,8 +441,7 @@ def fuzz_properties(config: FuzzConfig) -> FuzzReport:
         raise ValueError(f"trials must be >= 0, got {config.trials}")
     if config.seed < 0:
         raise ValueError(f"seed must be >= 0, got {config.seed}")
-    if config.grid < 1:
-        raise ValueError(f"grid must be >= 1, got {config.grid}")
+    _check_grid(config.grid)
     if not config.conjunctions:
         raise ValueError("conjunctions must not be empty")
     _check_relation_guard(config.variables)
@@ -390,16 +451,14 @@ def fuzz_properties(config: FuzzConfig) -> FuzzReport:
     relations = 0
     for trial, dist, seed in _trial_stream(config, space):
         trials_run += 1
-        for conj in config.conjunctions:
-            gaps: list[Counterexample] = []
-            for broken in _claim_checks(dist, conj, config.eps, gaps):
-                relations += 1
-                if broken is not None:
-                    prop, detail = broken
-                    doc = reproducer_document(dist, conj, seed, trial=trial, property=prop)
-                    failure = FuzzFailure(trial, seed, conj.spec_string(), prop, detail, doc)
-                    _write_reproducer(config, failure)
-                    return FuzzReport(trials_run, relations, [failure], mined)
+        for conj, broken, gaps in _claim_checks(dist, config.conjunctions, config.eps):
+            relations += 1
+            if broken is not None:
+                prop, detail = broken
+                doc = reproducer_document(dist, conj, seed, trial=trial, property=prop)
+                failure = FuzzFailure(trial, seed, conj.spec_string(), prop, detail, doc)
+                _write_reproducer(config, failure)
+                return FuzzReport(trials_run, relations, [failure], mined)
             mined.extend(MinedCounterexample(trial, conj.spec_string(), cx) for cx in gaps)
 
     return FuzzReport(trials_run, relations, [], mined)

@@ -395,47 +395,42 @@ def _block_route(sizes, base, local, mirror) -> tuple:
             left.reshape(-1, 2), mirror, blocks)
 
 
-def _scope_members(dist, conj, kinds, eps, group, flat, memo) -> list:
-    """Per kind of `kinds`, the (a, b, c) masks of the members among the
-    candidates of `group`, one group of _plan(dist.table.shape); `flat`
-    concatenates the lattice entries of the plan's masks.
+def _block_members(conjs, kinds, eps, group, flat, found) -> None:
+    """Add to found[i][j] the (a, b, c) masks of the members of kind
+    kinds[j] under conjs[i] among the candidates of `group`, a block
+    group of _plan(dist.table.shape); `flat` concatenates the lattice
+    entries of the plan's masks.
 
-    Small frames are evaluated block by block on marginals broadcast onto
-    the scope's frame: one residuum call per block conditions every pair
-    its candidates use, the first block's also every left side, for all
-    kinds at once.  Each kind then makes one comparison per candidate:
-    independence of a given b | c against a given c, and the second side
-    of (a; b | c) is the first of its mirror (b; a | c); no-interactivity
-    of a | b given c against a given c conjoined with b given c, the
-    mirror's own conditional.  Large frames are evaluated
-    one candidate at a time on keepdims conditionals kept in `memo`, as
-    in_* does, stopping at the first failed side."""
-    candidates, route = group
-    if route is None:
-        return [[t for t in candidates.tolist()
-                 if all(np.max(np.abs(lhs - rhs)) <= eps
-                        for lhs, rhs in _membership_sides(dist, conj, kind, *t, memo))]
-                for kind in kinds]
-    base, cells, (given, total), left, mirror, blocks = route
+    The candidates are evaluated block by block on marginals broadcast
+    onto the scope's frame: the operand rows of a block are gathered
+    once, and each conjunction makes one residuum call on them that
+    conditions every pair its candidates use, the first block's also
+    every left side, for all kinds at once.  Each kind then makes one
+    comparison per candidate: independence of a given b | c against a
+    given c, and the second side of (a; b | c) is the first of its mirror
+    (b; a | c); no-interactivity of a | b given c against a given c
+    conjoined with b given c, the mirror's own conditional."""
+    candidates, (base, cells, (given, total), left, mirror, blocks) = group
     # rows are gathered with take, which dispatches faster than indexing
     marginals = flat[(base + cells).reshape(-1, cells.shape[1])]
-    members = [[] for _ in kinds]
+    lhs = [None] * len(conjs)
     for lo, hi, start, stop in blocks:
-        out = _checked(conj._residuum(marginals.take(given[lo:hi], 0),
-                                      marginals.take(total[lo:hi], 0)))
-        if lo == 0:
-            lhs = out
-        own, pair = out[start - stop:], mirror[start:stop]
-        for found, kind in zip(members, kinds):
-            # both sides are range-checked, so no NaN reaches a comparison
-            if kind is RelationKind.INDEPENDENCE:
-                ok = np.abs(lhs.take(left[start:stop, 0], 0) - own).max(axis=1) <= eps
-                ok &= ok.take(pair)
-            else:
-                rhs = _checked(conj._conjoin(own, own.take(pair, 0)))
-                ok = np.abs(lhs.take(left[start:stop, 1], 0) - rhs).max(axis=1) <= eps
-            found += candidates[start:stop][ok].tolist()
-    return members
+        operands = marginals.take(given[lo:hi], 0), marginals.take(total[lo:hi], 0)
+        pair = mirror[start:stop]
+        for i, conj in enumerate(conjs):
+            out = _checked(conj._residuum(*operands))
+            if lo == 0:
+                lhs[i] = out
+            own = out[start - stop:]
+            for members, kind in zip(found[i], kinds):
+                # both sides are range-checked, so no NaN reaches a comparison
+                if kind is RelationKind.INDEPENDENCE:
+                    ok = np.abs(lhs[i].take(left[start:stop, 0], 0) - own).max(axis=1) <= eps
+                    ok &= ok.take(pair)
+                else:
+                    rhs = _checked(conj._conjoin(own, own.take(pair, 0)))
+                    ok = np.abs(lhs[i].take(left[start:stop, 1], 0) - rhs).max(axis=1) <= eps
+                members += candidates[start:stop][ok].tolist()
 
 
 def enumerate_relation(
@@ -448,14 +443,20 @@ def enumerate_relation(
     in_noninteractivity: scopes whose frames have at most CROSSOVER_CELLS
     cells in blocks (see _block_route), on marginals gathered from one
     concatenation of the lattice entries they read, larger ones one
-    triplet at a time.  This is _enumerate_relations of the one kind."""
-    return _enumerate_relations(dist, conj, (kind,), eps)[0]
+    triplet at a time.  This is _enumerate_relations of the one
+    conjunction and kind."""
+    return _enumerate_relations(dist, (conj,), (kind,), eps)[0][0]
 
 
-def _enumerate_relations(dist, conj, kinds, eps=EPS) -> tuple:
-    """enumerate_relation of each kind of `kinds`, in one pass: each block
-    is conditioned once for all kinds, and the conditionals of the scopes
-    enumerated one triplet at a time are shared by all kinds."""
+def _enumerate_relations(dist, conjs, kinds, eps=EPS) -> tuple:
+    """Per conjunction of `conjs`, enumerate_relation of each kind of
+    `kinds`, in one pass over the table: the lattice entries are
+    concatenated once, and each block's operand rows are gathered once
+    and conditioned once per conjunction for all kinds (_block_members).
+    The scopes past CROSSOVER_CELLS are enumerated one triplet at a
+    time, stopping at the first failed side, one conjunction after the
+    other: each conjunction's conditionals are kept in a dict shared by
+    its kinds and freed before the next conjunction's."""
     if not dist.normalised:
         raise NotNormalised("relation enumeration needs a normalised distribution")
     if len(dist.scope) < 2:
@@ -465,10 +466,19 @@ def _enumerate_relations(dist, conj, kinds, eps=EPS) -> tuple:
     kinds = tuple(map(RelationKind, kinds))
     masks, groups = _plan(dist.table.shape)
     flat = np.concatenate([dist._marginal(m).ravel() for m in masks]) if masks else None
-    memo = {}  # conditionals shared by the scopes enumerated one triplet at a time
-    found = [[] for _ in kinds]
+    found = [[[] for _ in kinds] for _ in conjs]
     for group in groups:
-        for rows, members in zip(found, _scope_members(dist, conj, kinds, eps, group, flat, memo)):
-            rows += members
-    return tuple(IndependenceRelation(dist.space, frozenset(triplets_from_masks(dist.scope, rows)))
+        if group[1] is not None:
+            _block_members(conjs, kinds, eps, group, flat, found)
+    for conj, rows in zip(conjs, found):
+        memo = {}  # this conjunction's conditionals, for all its one-triplet scopes and kinds
+        for candidates, route in groups:
+            if route is None:
+                for members, kind in zip(rows, kinds):
+                    members += [t for t in candidates.tolist() if all(
+                        np.max(np.abs(lhs - rhs)) <= eps
+                        for lhs, rhs in _membership_sides(dist, conj, kind, *t, memo))]
+    return tuple(tuple(IndependenceRelation(dist.space,
+                                            frozenset(triplets_from_masks(dist.scope, members)))
+                       for members in rows)
                  for rows in found)

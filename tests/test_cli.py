@@ -209,6 +209,13 @@ class TestFuzz:
         assert main(["fuzz", "--trials", "0", "--grid", grid]) == 2
         assert f"grid must be >= 1, got {grid}" in capsys.readouterr().err
 
+    def test_usage_error_on_grid_past_int64(self, capsys):
+        # numpy cannot draw the grid steps as int64; its own message named
+        # neither the option nor the bound
+        assert main(["fuzz", "--trials", "0", "--grid", "99999999999999999999"]) == 2
+        err = capsys.readouterr().err
+        assert "grid must be <= 9223372036854775807, got 99999999999999999999" in err
+
     @pytest.mark.parametrize("variables", ["1", "0", "-2"])
     def test_usage_error_on_too_few_variables(self, capsys, variables):
         # every relation over fewer than two variables is empty

@@ -2,6 +2,10 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,7 @@ from possind import (
     random_distribution,
 )
 from possind import graphoid
+from possind.serialize import reproducer_document
 
 from conftest import SPACE3
 
@@ -214,6 +219,48 @@ class TestAgainstReference:
         with pytest.raises(TooLarge, match="32 variables; its encoding holds at most 31"):
             is_graphoid(past)
 
+    def test_chunked_pass_equals_one_relation_at_a_time(self, monkeypatch):
+        # relation ids sit above twice the widest name count, so relations
+        # naming 31 names share a chunk in pairs only; b and c stay small,
+        # so no axiom splits many names
+        space = build_space([(f"V{i:02}", ("0", "1")) for i in range(31)])
+        v = space.names
+        wide = [IndependenceRelation(space, frozenset(members)) for members in (
+            {Triplet.of(v[:29], v[29], v[30])},
+            {Triplet.of(v[:29], v[29], v[30]), Triplet.of(v[:29], v[30], v[29])},
+            {Triplet.of(v[2:], v[:2], ()), Triplet.of(v[2:], v[0], ())},
+            {Triplet.of(v[:30], v[30], ()), Triplet.of(v[30], v[0], v[1:3])},
+        )]
+        assert all(len(rel._encoding[0]) == 31 for rel in wide)
+        empty = IndependenceRelation(SPACE4, frozenset())
+        # members over only some of the scope's names
+        some4 = IndependenceRelation(SPACE4, frozenset(
+            t for t in TRIPLETS4 if t.a | t.b | t.c <= {"X2", "b", "a"} and len(t.b) > 1))
+        # each other's symmetry conclusion and contraction partner, in one chunk
+        rels = [empty, relation(Triplet.of("X1", "X2", ())), relation(Triplet.of("X2", "X1", ())),
+                relation(Triplet.of("X1", "X3", "X2")), some4, wide[0], empty, wide[1], wide[2],
+                symmetric_closure(Triplet.of("X1", ("X2", "X3"), ())), empty, wide[3],
+                IndependenceRelation(SPACE4, frozenset(TRIPLETS4))]
+        chunks = []
+        check_chunk = graphoid._check_chunk
+        monkeypatch.setattr(graphoid, "_check_chunk", lambda chunk, n, axioms: (
+            chunks.append((len(chunk), n)), check_chunk(chunk, n, axioms)))
+        for axioms in (GRAPHOID_AXIOMS, SEMIGRAPHOID_AXIOMS, ("intersection", "symmetry")):
+            chunks.clear()
+            reports = graphoid._check_axioms(rels, axioms)
+            assert chunks == [(4, 3), (2, 31), (2, 31), (2, 31)]
+            assert reports == [reference_report(rel, axioms) for rel in rels]
+            assert all(list(report.verdicts) == list(axioms) for report in reports)
+            assert reports == [graphoid._check_axioms((rel,), axioms)[0] for rel in rels]
+        # the intersection and symmetry gaps, so the reports above are not vacuous
+        assert [len(report.counterexamples) for report in reports] == [
+            0, 1, 1, 1, 3, 1, 0, 4, 2, 0, 0, 2, 0]
+
+    def test_chunked_pass_of_empty_relations_checks_nothing(self, monkeypatch):
+        monkeypatch.setattr(graphoid, "_check_chunk", None)
+        reports = graphoid._check_axioms([relation(), relation()], GRAPHOID_AXIOMS)
+        assert reports == [is_graphoid(relation())] * 2 and reports[0].holds
+
     @settings(max_examples=100, deadline=None)
     @given(rel=relations4)
     def test_sorted_members_follow_sort_key(self, rel):
@@ -268,6 +315,16 @@ class TestRandomDistribution:
         with pytest.raises(ValueError):
             random_distribution(SPACE3, grid=0)
 
+    def test_grid_past_int64_rejected(self):
+        # the largest grid numpy can draw k = 0..grid for
+        top = np.iinfo(np.int64).max
+        assert random_distribution(SPACE3, grid=top, seed=1).normalised
+        for grid in (top + 1, 99999999999999999999):
+            with pytest.raises(ValueError, match=f"grid must be <= {top}, got {grid}"):
+                random_distribution(SPACE3, grid=grid)
+            with pytest.raises(ValueError, match=f"grid must be <= {top}, got {grid}"):
+                fuzz_properties(FuzzConfig(trials=0, grid=grid))
+
 
 class TestFuzz:
     def test_clean_run_under_min_and_product(self):
@@ -308,10 +365,11 @@ class TestFuzz:
 
         # a planted independence member missing from no-interactivity is
         # a violated containment claim
-        def planted(dist, conj, kinds, eps):
+        def planted(dist, conjs, kinds, eps):
             full = frozenset(enumerate_triplets(dist.space))
-            return tuple(IndependenceRelation(dist.space, full if kind is RelationKind.INDEPENDENCE
+            rels = tuple(IndependenceRelation(dist.space, full if kind is RelationKind.INDEPENDENCE
                                               else frozenset()) for kind in kinds)
+            return (rels,) * len(conjs)
 
         monkeypatch.setattr(graphoid, "_enumerate_relations", planted)
         report = fuzz_properties(config)
@@ -329,6 +387,102 @@ class TestFuzz:
         assert doc["values"] == [
             {"assignment": {"X1": "0", "X2": "0", "X3": "0"}, "possibility": 1.0}
         ]
+
+    @pytest.mark.parametrize("broken", ["min-graphoid", "prod-semigraphoid", "luka-containment"])
+    def test_planted_failure_at_each_claim_position(self, broken, monkeypatch, tmp_path):
+        # every relation is enumerated and checked before the first claim is
+        # walked, so the report must still be the claim-by-claim one
+        x1x2 = Triplet.of("X1", "X2", ())
+        gapped = symmetric_closure(Triplet.of("X1", "X2", "X3"), Triplet.of("X1", "X3", "X2"))
+        holds = {RelationKind.INDEPENDENCE: symmetric_closure(x1x2),
+                 RelationKind.NON_INTERACTIVITY: gapped}
+        plants = {spec: dict(holds) for spec in ("min", "prod", "luka")}
+        plants["luka"][RelationKind.NON_INTERACTIVITY] = symmetric_closure(x1x2)
+        conj, kind, plant = {
+            "min-graphoid": ("min", RelationKind.INDEPENDENCE, relation(x1x2)),
+            # a missing mirror breaks symmetry; the intersection gaps stay,
+            # and must not be mined
+            "prod-semigraphoid": ("prod", RelationKind.NON_INTERACTIVITY, relation(x1x2, *gapped)),
+            "luka-containment": ("luka", RelationKind.NON_INTERACTIVITY, relation()),
+        }[broken]
+        plants[conj][kind] = plant
+        conjs = (Min(), ProductLike(), LukasiewiczLike())
+        dist = random_distribution(SPACE3, seed=3)
+
+        def planted(dist, conjs, kinds, eps):
+            return tuple(tuple(plants[c.spec_string()][k] for k in kinds) for c in conjs)
+
+        def claim_by_claim():
+            relations, mined = 0, []
+            for c in conjs:
+                i_rel, ni_rel = (plants[c.spec_string()][k] for k in RelationKind)
+                relations += 1
+                report = is_graphoid(i_rel)
+                if not report.holds:
+                    return relations, (c, "independence relation is a graphoid",
+                                       str(report.counterexamples[0])), mined
+                relations += 1
+                if isinstance(c, LukasiewiczLike):
+                    missing = [t for t in i_rel if t not in ni_rel]
+                    if missing:
+                        return relations, (c, "independence is contained in no-interactivity "
+                                              "under lukasiewicz-like conjunctions",
+                                           f"independence member {missing[0]} is not in "
+                                           "no-interactivity"), mined
+                    continue
+                report = is_semigraphoid(ni_rel)
+                if not report.holds:
+                    return relations, (c, "no-interactivity relation is a semigraphoid",
+                                       str(report.counterexamples[0])), mined
+                mined += [(c.spec_string(), cx)
+                          for cx in check_axiom(ni_rel, "intersection").counterexamples]
+            return relations, None, mined
+
+        relations, (c, prop, detail), mined = claim_by_claim()
+        assert (relations, c.spec_string()) == {"min-graphoid": (1, "min"),
+                                                "prod-semigraphoid": (4, "prod"),
+                                                "luka-containment": (6, "luka")}[broken]
+        assert len(mined) == {"min-graphoid": 0, "prod-semigraphoid": 2,
+                              "luka-containment": 4}[broken]
+        monkeypatch.setattr(graphoid, "_enumerate_relations", planted)
+        report = fuzz_properties(FuzzConfig(trials=0, conjunctions=conjs, inject=(dist,),
+                                            reproducer_dir=tmp_path))
+        assert report.relations_checked == relations
+        assert [(m.trial, m.conjunction, m.counterexample) for m in report.mined] == [
+            (0, spec, cx) for spec, cx in mined]
+        [failure] = report.failures
+        assert (failure.trial, failure.seed, failure.conjunction, failure.prop, failure.detail) == (
+            0, None, c.spec_string(), prop, detail)
+        assert failure.reproducer == reproducer_document(dist, c, None, trial=0, property=prop)
+        assert json.loads(Path(failure.path).read_text()) == failure.reproducer
+
+    def test_one_enumeration_and_one_axiom_pass_per_trial(self, monkeypatch):
+        # the all-ones table relates every candidate, so no relation is empty;
+        # of luka's relations only independence has an axiom claim
+        calls = {name: [] for name in ("_enumerate_relations", "_check_axioms", "_check_chunk")}
+        for name, seen in calls.items():
+            def counted(*args, fn=getattr(graphoid, name), seen=seen):
+                seen.append(args)
+                return fn(*args)
+            monkeypatch.setattr(graphoid, name, counted)
+        ones = Distribution(SPACE3, SPACE3.names, np.ones((2, 2, 2)))
+        report = fuzz_properties(FuzzConfig(trials=0, inject=(ones,)))
+        assert report.ok and report.relations_checked == 6
+        [(_, conjs, *_)] = calls["_enumerate_relations"]
+        assert len(conjs) == 3
+        assert [len(args[0]) for args in calls["_check_axioms"]] == [5]
+        assert [len(args[0]) for args in calls["_check_chunk"]] == [5]
+
+    def test_a_trial_imports_no_masked_arrays(self):
+        # numpy.ma costs about 1 MB of RSS; np.unique, for one, imports it
+        script = ("import sys\n"
+                  "from possind import FuzzConfig, fuzz_properties\n"
+                  "assert fuzz_properties(FuzzConfig(trials=3)).ok\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(graphoid.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
     def test_deterministic_for_fixed_seed(self):
         config = FuzzConfig(trials=25, seed=77, conjunctions=(ProductLike(),))

@@ -789,9 +789,16 @@ class TestBlocks:
 
     def test_both_kinds_in_one_pass_equal_one_kind_at_a_time(self, block_cells):
         # independence's early exit must not carry over to no-interactivity,
-        # and every block must compare against the left sides of the first
+        # every block must compare against the left sides of the first, and
+        # no conjunction's conditionals may leak into the next one's
         dists = [Distribution(space, space.names, table)
                  for space, table in seeded_tables() + mixed_tables() + crossover_tables()]
+        # past the crossover, a product table relates different triplets
+        # under each family, so one family's conditionals would show
+        space, _ = crossover_tables()[1]
+        rng = np.random.default_rng(1)
+        dists.append(Distribution(space, space.names,
+                                  _factor(rng, (13, 1, 1)) * _factor(rng, (1, 13, 13))))
         conjs = ROUTE_FAMILIES + (Hamacher(),)
         kinds = tuple(RelationKind)
         default = independence.BLOCK_CELLS
@@ -800,8 +807,8 @@ class TestBlocks:
                     for dist in dists for conj in conjs]
         for cells in (1, 64, default):
             block_cells(cells)
-            assert [independence._enumerate_relations(dist, conj, kinds)
-                    for dist in dists for conj in conjs] == expected
+            assert [rels for dist in dists
+                    for rels in independence._enumerate_relations(dist, conjs, kinds)] == expected
 
     @pytest.mark.parametrize("shape", [(2, 2, 2), (2,) * 6, (12, 12, 12)],
                              ids=["2x3", "2x6", "12x3"])
