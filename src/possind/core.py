@@ -50,6 +50,14 @@ def check_eps(eps: float) -> None:
         raise ValueError(f"eps must be a finite number >= 0, got {eps}")
 
 
+def _check_grid(grid: int) -> None:
+    """Refuse grids whose steps k = 0..grid numpy cannot draw as int64."""
+    if grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
+    if grid > np.iinfo(np.int64).max:
+        raise ValueError(f"grid must be <= {np.iinfo(np.int64).max}, got {grid}")
+
+
 def check_degrees(values, what: str):
     """`values`, an array or numpy scalar, if all lie in [0, 1]; OutOfRange
     naming `what` otherwise, NaN included.  The one range check on degrees."""

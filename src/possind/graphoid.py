@@ -12,14 +12,15 @@ order.  All instances of an axiom are produced at once by array
 operations: the splits of b or c, one popcount at a time; contraction's
 second premises by an equal-key join on (a, c); membership by binary
 search over codes of two bits per name, so a relation may name at most
-core.ENCODED_NAMES variables.  Several relations are checked in one pass:
-their rows are stacked, and each code and join key carries the relation's
-id in the bits above the code bits, so nothing matches across relations;
-a chunk whose ids would not fit in 63 bits is split.  Only instances whose
-conclusion is missing become Counterexample objects.  Each relation's are
-listed by the first premise's rank, then by the split's position (fewest
-names first, then by sorted names) or the second premise's rank, as a
-loop over the members in sort_key order would find them.
+core.ENCODED_NAMES variables.  Any list of relations is checked in one
+pass: their rows are stacked, and each code and join key carries the
+relation's id in the bits above the code bits, so nothing matches across
+relations; where the ids would not fit in 63 bits, the list is halved.
+Only instances whose conclusion is missing become Counterexample
+objects.  Each relation's are listed by the first premise's rank, then
+by the split's position (fewest names first, then by sorted names) or
+the second premise's rank, as a loop over the members in sort_key order
+would find them.
 
 The fuzzer draws random grid-valued distributions, induces independence
 and no-interactivity relations under the configured conjunctions, and
@@ -47,6 +48,7 @@ from .core import (
     IndependenceRelation,
     Space,
     Triplet,
+    _check_grid,
     build_space,
     check_eps,
     triplets_from_masks,
@@ -220,33 +222,20 @@ def check_axiom(rel: IndependenceRelation, axiom: str) -> AxiomReport:
 
 
 def _check_axioms(rels, axioms) -> list[AxiomReport]:
-    """The AxiomReport on `axioms` of each relation of `rels`.  The
-    non-empty relations are checked together, in chunks as large as the
-    codes allow: a relation's id takes the bits above twice the chunk's
-    widest name count, and those must fit in 63 bits."""
-    found = [{axiom: [] for axiom in axioms} for _ in rels]
-    chunk, n = [], 0
-    for rel, cxs in zip(rels, found):
-        if rel.members:
-            width = len(rel._encoding[0])
-            if 2 * max(n, width) + len(chunk).bit_length() > 63:
-                _check_chunk(chunk, n, axioms)
-                chunk, n = [], 0
-            chunk.append((rel._encoding, cxs))
-            n = max(n, width)
-    if chunk:
-        _check_chunk(chunk, n, axioms)
-    return [AxiomReport({axiom: not cx for axiom, cx in cxs.items()},
-                        tuple(itertools.chain(*cxs.values())))
-            for cxs in found]
-
-
-def _check_chunk(chunk, n, axioms) -> None:
-    """Check the relations of `chunk`, (encoding, counterexamples by
-    axiom) pairs whose encodings use at most n names, in one pass, adding
-    each one's counterexamples in order."""
-    encodings, found = zip(*chunk)
-    names, rows, members = zip(*encodings)
+    """The AxiomReport on `axioms` of each relation of `rels`, from one
+    pass over the non-empty ones.  A relation's id takes the bits above
+    twice the widest name count, and where those would pass 63 bits the
+    relations are halved, each half its own pass; one relation always
+    fits."""
+    live = [i for i, r in enumerate(rels) if r.members]
+    n = max((len(rels[i]._encoding[0]) for i in live), default=0)
+    if 2 * n + (len(live) - 1).bit_length() > 63:
+        half = len(rels) // 2
+        return _check_axioms(rels[:half], axioms) + _check_axioms(rels[half:], axioms)
+    reports = [AxiomReport(dict.fromkeys(axioms, True), ()) for _ in rels]
+    if not live:
+        return reports
+    names, rows, members = zip(*(rels[i]._encoding for i in live))
     rel = np.arange(len(rows)).repeat([len(r) for r in rows])
     m = _Rows(np.concatenate(rows), n, rel)
     first, second, tiebreak, code = zip(*(_AXIOM_CHECKS[axiom][0](m) for axiom in axioms))
@@ -254,22 +243,26 @@ def _check_chunk(chunk, n, axioms) -> None:
     # one lookup for the conclusions of every axiom
     missing = (m.rank_of(code) < 0).nonzero()[0]
     if not missing.size:
-        return
+        return reports
     of_axiom = np.arange(len(axioms)).repeat([len(column) for column in first])[missing]
     first, second, tiebreak = (np.concatenate(column)[missing]
                                for column in (first, second, tiebreak))
     order = np.lexsort((tiebreak, first, of_axiom, rel[first]))
-    of_rel = rel[first][order]
-    # each relation's conclusions over its own names
-    members = [t for part in members for t in part]
-    ends = of_rel.searchsorted(np.arange(len(rows) + 1)).tolist()
+    ends = rel[first][order].searchsorted(np.arange(len(rows) + 1)).tolist()
     parts = list(zip(*(part[order].tolist() for part in m.parts(code[missing]))))
-    concluded = [t for r, (lo, hi) in enumerate(zip(ends, ends[1:]))
-                 for t in triplets_from_masks(names[r], parts[lo:hi])]
-    for r, k, f, s, t in zip(of_rel.tolist(), of_axiom[order].tolist(), first[order].tolist(),
-                             second[order].tolist(), concluded):
-        premises = (members[f], members[s])[:_AXIOM_CHECKS[axioms[k]][1]]
-        found[r][axioms[k]].append(Counterexample(axioms[k], premises, t))
+    of_axiom, first, second = (column[order].tolist() for column in (of_axiom, first, second))
+    members = [t for part in members for t in part]
+    premises = [_AXIOM_CHECKS[axiom][1] for axiom in axioms]
+    # each relation's counterexamples are one slice, concluded over its own names
+    for i, own, lo, hi in zip(live, names, ends, ends[1:]):
+        if lo < hi:
+            failing = set(of_axiom[lo:hi])
+            reports[i] = AxiomReport(
+                {axiom: k not in failing for k, axiom in enumerate(axioms)},
+                tuple(Counterexample(axioms[k], (members[f], members[s])[:premises[k]], t)
+                      for k, f, s, t in zip(of_axiom[lo:hi], first[lo:hi], second[lo:hi],
+                                            triplets_from_masks(own, parts[lo:hi]))))
+    return reports
 
 
 def is_semigraphoid(rel: IndependenceRelation) -> AxiomReport:
@@ -280,14 +273,6 @@ def is_semigraphoid(rel: IndependenceRelation) -> AxiomReport:
 def is_graphoid(rel: IndependenceRelation) -> AxiomReport:
     """All five axioms, intersection included."""
     return _check_axioms((rel,), GRAPHOID_AXIOMS)[0]
-
-
-def _check_grid(grid: int) -> None:
-    """Refuse grids whose steps k = 0..grid numpy cannot draw as int64."""
-    if grid < 1:
-        raise ValueError(f"grid must be >= 1, got {grid}")
-    if grid > np.iinfo(np.int64).max:
-        raise ValueError(f"grid must be <= {np.iinfo(np.int64).max}, got {grid}")
 
 
 def random_distribution(
@@ -363,15 +348,11 @@ def _fuzz_space(config: FuzzConfig) -> Space:
 
 
 def _trial_stream(config: FuzzConfig, space: Space):
-    trial = 0
+    """Each trial's (dist, seed): the injected tables with seed None, then the drawn ones."""
     for dist in config.inject:
-        yield trial, dist, None
-        trial += 1
-    for i in range(config.trials):
-        yield trial, random_distribution(
-            space, config.grid, config.strictly_positive, seed=config.seed + i
-        ), config.seed + i
-        trial += 1
+        yield dist, None
+    for seed in range(config.seed, config.seed + config.trials):
+        yield random_distribution(space, config.grid, config.strictly_positive, seed=seed), seed
 
 
 def _write_reproducer(config, failure: FuzzFailure) -> None:
@@ -447,10 +428,8 @@ def fuzz_properties(config: FuzzConfig) -> FuzzReport:
     _check_relation_guard(config.variables)
     space = _fuzz_space(config)
     mined: list[MinedCounterexample] = []
-    trials_run = 0
     relations = 0
-    for trial, dist, seed in _trial_stream(config, space):
-        trials_run += 1
+    for trial, (dist, seed) in enumerate(_trial_stream(config, space)):
         for conj, broken, gaps in _claim_checks(dist, config.conjunctions, config.eps):
             relations += 1
             if broken is not None:
@@ -458,7 +437,7 @@ def fuzz_properties(config: FuzzConfig) -> FuzzReport:
                 doc = reproducer_document(dist, conj, seed, trial=trial, property=prop)
                 failure = FuzzFailure(trial, seed, conj.spec_string(), prop, detail, doc)
                 _write_reproducer(config, failure)
-                return FuzzReport(trials_run, relations, [failure], mined)
+                return FuzzReport(trial + 1, relations, [failure], mined)
             mined.extend(MinedCounterexample(trial, conj.spec_string(), cx) for cx in gaps)
 
-    return FuzzReport(trials_run, relations, [], mined)
+    return FuzzReport(len(config.inject) + config.trials, relations, [], mined)

@@ -17,6 +17,7 @@ against each other.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ from .core import (
     IndependenceRelation,
     Space,
     Triplet,
+    _check_grid,
     check_degrees,
     check_eps,
     masks,
@@ -267,10 +269,10 @@ def construct_luka_instance(
     the joint.  Deterministic for a fixed seed.
     """
     t.validate(space)
-    if grid < 1:
-        raise ValueError("grid must be >= 1")
+    _check_grid(grid)
     rng = np.random.default_rng(seed)
-    k_min = next(k for k in range(grid + 1) if generator.apply(k / grid) >= 0.5)
+    # phi rises with k, and k = grid gives phi(1) = 1
+    k_min = bisect.bisect_left(range(grid), True, key=lambda k: generator.apply(k / grid) >= 0.5)
     full = space.subset(t.a | t.b | t.c)
     shape = space.shape(full)
 

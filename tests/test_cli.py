@@ -6,10 +6,29 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import possind
-from possind import dump_distribution, make_distribution
+from possind import (
+    Distribution,
+    FuzzConfig,
+    IndependenceRelation,
+    Min,
+    ProductLike,
+    RelationKind,
+    Triplet,
+    build_space,
+    dump_distribution,
+    enumerate_relation,
+    fuzz_properties,
+    in_independence,
+    is_graphoid,
+    load_distribution,
+    make_distribution,
+    random_distribution,
+)
+from possind import graphoid
 from possind.cli import main
 
 from conftest import SPACE3
@@ -45,6 +64,15 @@ def report_keys(path):
 
 
 EXPECTED_KEYS = {"verb", "inputs", "verdict", "results", "witnesses", "counterexamples", "timing_ms"}
+
+
+def triplet_doc(t):
+    return {"a": sorted(t.a), "b": sorted(t.b), "c": sorted(t.c)}
+
+
+def counterexample_doc(cx):
+    return {"axiom": cx.axiom, "premises": [triplet_doc(t) for t in cx.premises],
+            "conclusion": triplet_doc(cx.conclusion)}
 
 
 class TestMarginalize:
@@ -125,6 +153,22 @@ class TestIndependent:
         first = report["witnesses"][0]
         assert set(first) == {"assignment", "left", "right"}
 
+    def test_witnesses_past_the_cap_are_counted(self, tmp_path, capsys):
+        space = build_space([(f"X{i}", "0123") for i in (1, 2, 3)])
+        path = tmp_path / "wide.json"
+        dump_distribution(random_distribution(space, seed=0), path)
+        out_path = tmp_path / "report.json"
+        assert main(["independent", "--dist", str(path), "--a", "X1", "--b", "X2", "--c", "X3",
+                     "--conj", "min", "--relation", "independence", "--json", str(out_path)]) == 1
+        evidence = in_independence(load_distribution(path), Triplet.of("X1", "X2", "X3"), Min())
+        assert len(evidence.witnesses) == 93
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.startswith("  at ") for line in lines[1:]] == [True] * 10 + [False]
+        assert lines[-1] == "  ... and 83 more witnesses"
+        assert json.loads(out_path.read_text())["witnesses"] == [
+            {"assignment": w.assignment, "left": w.left, "right": w.right}
+            for w in evidence.witnesses]
+
 
 class TestEnumerate:
     def test_lists_members(self, two_peak_file, capsys):
@@ -181,6 +225,28 @@ class TestAxioms:
         )
 
 
+    def test_counterexamples_past_the_cap_are_counted(self, tmp_path, capsys):
+        # two fully possible atoms over four variables: 60 intersection gaps
+        space = build_space([(f"X{i}", ("0", "1")) for i in range(1, 5)])
+        table = np.zeros((2,) * 4)
+        table[0, 0, 0, 0] = table[1, 1, 1, 1] = 1.0
+        path = tmp_path / "two_atoms.json"
+        dump_distribution(Distribution(space, space.names, table), path)
+        out_path = tmp_path / "report.json"
+        assert main(["axioms", "--dist", str(path), "--conj", "prod",
+                     "--relation", "noninteractivity", "--level", "graphoid",
+                     "--json", str(out_path)]) == 1
+        rel = enumerate_relation(load_distribution(path), ProductLike(),
+                                 RelationKind.NON_INTERACTIVITY)
+        report = is_graphoid(rel)
+        assert len(report.counterexamples) == 60
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[6:] == [f"  {cx}" for cx in report.counterexamples[:10]] + [
+            "  ... and 50 more"]
+        assert json.loads(out_path.read_text())["counterexamples"] == [
+            counterexample_doc(cx) for cx in report.counterexamples]
+
+
 class TestFuzz:
     def test_small_clean_run(self, capsys):
         code = main([
@@ -200,6 +266,55 @@ class TestFuzz:
         report, keys = report_keys(out_path)
         assert keys == EXPECTED_KEYS
         assert report["results"]["trials_run"] == 4
+
+    def test_mined_gaps_past_the_cap_are_counted(self, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        assert main(["fuzz", "--trials", "300", "--grid", "2", "--json", str(out_path)]) == 0
+        expected = fuzz_properties(FuzzConfig(trials=300, grid=2))
+        assert len(expected.mined) == 48
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            "fuzz: 300 trials, 1800 relations checked, 48 intersection gaps mined"] + [
+            f"  mined (trial {m.trial}, {m.conjunction}): {m.counterexample}"
+            for m in expected.mined[:10]] + ["  ... and 38 more mined counterexamples"]
+        assert json.loads(out_path.read_text())["results"] == {
+            "trials_run": 300, "relations_checked": 1800, "failures": [],
+            "mined": [{"trial": m.trial, "conjunction": m.conjunction,
+                       "counterexample": counterexample_doc(m.counterexample)}
+                      for m in expected.mined]}
+
+    @pytest.mark.parametrize("out", [True, False])
+    def test_violation_is_printed_and_reported(self, out, tmp_path, monkeypatch, capsys):
+        # an independence relation without its mirror breaks symmetry
+        broken = IndependenceRelation(SPACE3, frozenset({Triplet.of("X1", "X2", ())}))
+        monkeypatch.setattr(graphoid, "_enumerate_relations", lambda dist, conjs, kinds, eps:
+                            tuple((broken,) * len(kinds) for _ in conjs))
+        out_path = tmp_path / "report.json"
+        directory = tmp_path / "reproducers"
+        argv = ["fuzz", "--trials", "3", "--seed", "4", "--conj", "prod", "--json", str(out_path)]
+        assert main(argv + (["--out", str(directory)] if out else [])) == 1
+        [failure] = fuzz_properties(FuzzConfig(trials=3, seed=4,
+                                               conjunctions=(ProductLike(),))).failures
+        assert failure.prop == "independence relation is a graphoid"
+        assert failure.detail.startswith("symmetry: (X1 ; X2 | -) hold but")
+        path = str(directory / "possind-reproducer-trial0-prod.json") if out else None
+        assert capsys.readouterr().out.splitlines() == [
+            "fuzz: 1 trials, 1 relations checked, 0 intersection gaps mined",
+            "  VIOLATION trial 0 under prod:",
+            f"    claim: {failure.prop}",
+            f"    {failure.detail}",
+        ] + ([f"    reproducer written to {path}"] if out else [])
+        report = json.loads(out_path.read_text())
+        assert report["verdict"] is False
+        assert report["results"] == {
+            "trials_run": 1, "relations_checked": 1, "mined": [],
+            "failures": [{"trial": 0, "seed": 4, "conjunction": "prod", "property": failure.prop,
+                          "detail": failure.detail, "reproducer": failure.reproducer,
+                          "path": path}]}
+        if out:
+            assert json.loads(Path(path).read_text()) == failure.reproducer
+        else:
+            assert not directory.exists()
 
     def test_usage_error_on_bad_frame(self, capsys):
         assert main(["fuzz", "--trials", "1", "--frame", "0"]) == 2

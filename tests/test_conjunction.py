@@ -12,9 +12,11 @@ from possind import (
     Min,
     OutOfRange,
     ProductLike,
+    conjoin,
     generator_apply,
     generator_invert,
     parse_conjunction,
+    residuum,
     residuum_oracle,
 )
 from possind.conjunction import MIN_POWER
@@ -151,6 +153,28 @@ class TestConjoin:
         # phi(1e-200) ** 2 underflows to 0; phi_inv(phi(a) * phi(b)) is a * b
         got = ProductLike(Generator(power)).conjoin(0.5, 1e-200)
         assert got == pytest.approx(5e-201, rel=1e-12, abs=0)
+
+
+class TestModuleFunctions:
+    @pytest.mark.parametrize("conj", FAMILIES, ids=str)
+    def test_equal_the_methods_and_give_floats_for_scalars(self, conj):
+        for a in GRID:
+            for b in GRID:
+                for fn, method in ((conjoin, conj.conjoin), (residuum, conj.residuum)):
+                    got = fn(conj, a, b)
+                    assert type(got) is float and got == method(a, b)
+        column = np.array(GRID)
+        assert np.array_equal(conjoin(conj, column, 0.3), conj.conjoin(column, 0.3))
+        assert np.array_equal(residuum(conj, 0.3, column), conj.residuum(0.3, column))
+
+    @pytest.mark.parametrize("fn", [conjoin, residuum])
+    def test_refuse_degrees_outside_the_unit_interval(self, fn):
+        for conj in FAMILIES:
+            for bad in (-0.1, 1.1, float("nan")):
+                with pytest.raises(OutOfRange):
+                    fn(conj, bad, 0.5)
+                with pytest.raises(OutOfRange):
+                    fn(conj, 0.5, np.array([0.2, bad]))
 
 
 class TestResiduum:

@@ -62,6 +62,11 @@ class TestSpace:
         got = [(a["A"], a["B"]) for a in space.assignments()]
         assert got == [("0", "x"), ("0", "y"), ("1", "x"), ("1", "y")]
 
+    def test_frame_of_an_unknown_name_rejected(self):
+        assert SPACE3.frame("X2") == ("0", "1")
+        with pytest.raises(ScopeMismatch, match="unknown variable 'Y9'"):
+            SPACE3.frame("Y9")
+
     def test_subset_is_ordered_and_validated(self):
         assert SPACE3.subset(("X3", "X1")) == ("X1", "X3")
         assert SPACE3.subset("X2") == ("X2",)
@@ -119,6 +124,11 @@ class TestMakeDistribution:
     def test_assignment_scope_mismatch_rejected(self):
         with pytest.raises(ScopeMismatch):
             make_distribution(SPACE3, SPACE3.names, [({"X1": "0"}, 0.5)])
+
+    def test_table_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ScopeMismatch, match=r"table shape \(2, 2\) does not match scope "
+                                                r"shape \(2, 2, 2\)"):
+            Distribution(SPACE3, SPACE3.names, np.ones((2, 2)))
 
     def test_bad_frame_value_rejected(self):
         with pytest.raises(ScopeMismatch):
@@ -315,7 +325,8 @@ class TestReadme:
         stated = re.findall(r"`possind\.(\w+)\.([A-Z_]+)`\s+=\s+([0-9](?:[0-9e.^-]*[0-9])?)",
                             readme)
         assert {name for _, name, _ in stated} >= {
-            "CROSSOVER_CELLS", "PLAN_CACHE_SIZE", "ENCODED_NAMES", "MIN_POWER", "TABLE_GUARD"}
+            "CROSSOVER_CELLS", "PLAN_CACHE_SIZE", "ENCODED_NAMES", "MIN_POWER", "TABLE_GUARD",
+            "BLOCK_CELLS", "RELATION_GUARD", "EPS"}
         for module, name, value in stated:
             base, _, exponent = value.partition("^")
             expected = int(base) ** int(exponent) if exponent else float(value)

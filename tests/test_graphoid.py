@@ -221,7 +221,7 @@ class TestAgainstReference:
 
     def test_chunked_pass_equals_one_relation_at_a_time(self, monkeypatch):
         # relation ids sit above twice the widest name count, so relations
-        # naming 31 names share a chunk in pairs only; b and c stay small,
+        # naming 31 names share a pass in pairs only; b and c stay small,
         # so no axiom splits many names
         space = build_space([(f"V{i:02}", ("0", "1")) for i in range(31)])
         v = space.names
@@ -236,19 +236,22 @@ class TestAgainstReference:
         # members over only some of the scope's names
         some4 = IndependenceRelation(SPACE4, frozenset(
             t for t in TRIPLETS4 if t.a | t.b | t.c <= {"X2", "b", "a"} and len(t.b) > 1))
-        # each other's symmetry conclusion and contraction partner, in one chunk
+        # each other's symmetry conclusion and contraction partner, in one pass
         rels = [empty, relation(Triplet.of("X1", "X2", ())), relation(Triplet.of("X2", "X1", ())),
                 relation(Triplet.of("X1", "X3", "X2")), some4, wide[0], empty, wide[1], wide[2],
                 symmetric_closure(Triplet.of("X1", ("X2", "X3"), ())), empty, wide[3],
                 IndependenceRelation(SPACE4, frozenset(TRIPLETS4))]
-        chunks = []
-        check_chunk = graphoid._check_chunk
-        monkeypatch.setattr(graphoid, "_check_chunk", lambda chunk, n, axioms: (
-            chunks.append((len(chunk), n)), check_chunk(chunk, n, axioms)))
+        passes = []
+        rows = graphoid._Rows
+        monkeypatch.setattr(graphoid, "_Rows", lambda members, n, rel: (
+            passes.append((int(rel.max()) + 1, n)), rows(members, n, rel))[1])
         for axioms in (GRAPHOID_AXIOMS, SEMIGRAPHOID_AXIOMS, ("intersection", "symmetry")):
-            chunks.clear()
+            passes.clear()
             reports = graphoid._check_axioms(rels, axioms)
-            assert chunks == [(4, 3), (2, 31), (2, 31), (2, 31)]
+            # (non-empty relations, n) of each pass: the 13 relations halve
+            # into runs of 3, 1, 2, 3, 2 and 2, empty ones included
+            assert passes == [(2, 2), (1, 3), (2, 31), (2, 31), (1, 3), (2, 31)]
+            assert all(2 * n + (count - 1).bit_length() <= 63 for count, n in passes)
             assert reports == [reference_report(rel, axioms) for rel in rels]
             assert all(list(report.verdicts) == list(axioms) for report in reports)
             assert reports == [graphoid._check_axioms((rel,), axioms)[0] for rel in rels]
@@ -257,7 +260,7 @@ class TestAgainstReference:
             0, 1, 1, 1, 3, 1, 0, 4, 2, 0, 0, 2, 0]
 
     def test_chunked_pass_of_empty_relations_checks_nothing(self, monkeypatch):
-        monkeypatch.setattr(graphoid, "_check_chunk", None)
+        monkeypatch.setattr(graphoid, "_Rows", None)
         reports = graphoid._check_axioms([relation(), relation()], GRAPHOID_AXIOMS)
         assert reports == [is_graphoid(relation())] * 2 and reports[0].holds
 
@@ -459,7 +462,7 @@ class TestFuzz:
     def test_one_enumeration_and_one_axiom_pass_per_trial(self, monkeypatch):
         # the all-ones table relates every candidate, so no relation is empty;
         # of luka's relations only independence has an axiom claim
-        calls = {name: [] for name in ("_enumerate_relations", "_check_axioms", "_check_chunk")}
+        calls = {name: [] for name in ("_enumerate_relations", "_check_axioms", "_Rows")}
         for name, seen in calls.items():
             def counted(*args, fn=getattr(graphoid, name), seen=seen):
                 seen.append(args)
@@ -471,7 +474,7 @@ class TestFuzz:
         [(_, conjs, *_)] = calls["_enumerate_relations"]
         assert len(conjs) == 3
         assert [len(args[0]) for args in calls["_check_axioms"]] == [5]
-        assert [len(args[0]) for args in calls["_check_chunk"]] == [5]
+        assert [int(rel.max()) + 1 for _, _, rel in calls["_Rows"]] == [5]
 
     def test_a_trial_imports_no_masked_arrays(self):
         # numpy.ma costs about 1 MB of RSS; np.unique, for one, imports it

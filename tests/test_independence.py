@@ -1,5 +1,6 @@
 """Conditioning, membership tests, characterizations and the constructor."""
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,6 +207,18 @@ class TestIndependenceMembership:
         with pytest.raises(BadTriplet):
             in_independence(one_sided, Triplet.of("X1", "Y9", ()), MIN)
 
+    def test_rejects_triplet_outside_the_distribution_scope(self, one_sided):
+        # X3 is a variable of the space but not of the marginal's scope
+        marginal = one_sided.marginalize(("X1", "X2"))
+        t = Triplet.of("X1", "X2", "X3")
+        checks = [lambda d, t: in_independence(d, t, MIN),
+                  lambda d, t: in_noninteractivity(d, t, PROD),
+                  characterize_min_i, characterize_min_ni, characterize_luka,
+                  characterize_luka_ni, characterize_product_i, characterize_product_ni]
+        for check in checks:
+            with pytest.raises(BadTriplet, match="outside the distribution scope"):
+                check(marginal, t)
+
     def test_rejects_non_normalised(self):
         half = make_distribution(
             SPACE3, SPACE3.names, [({"X1": "0", "X2": "0", "X3": "0"}, 0.5)]
@@ -388,6 +401,26 @@ class TestConstructor:
         assert np.array_equal(d1.table, d2.table)
         d3, _ = construct_luka_instance(SPACE3, t, seed=43)
         assert not np.array_equal(d1.table, d3.table)
+
+    @pytest.mark.parametrize("power", [1.0, 2.0])
+    @pytest.mark.parametrize("grid", [10**12, 2**63 - 1])
+    def test_huge_grids_return_at_once(self, grid, power):
+        # the smallest step is bisected, not walked, so the grid's size costs nothing
+        t = Triplet.of("X1", "X2", "X3")
+        started = time.perf_counter()
+        dist, _ = construct_luka_instance(SPACE3, t, Generator(power), seed=1, grid=grid)
+        assert time.perf_counter() - started < 1.0
+        assert dist.normalised
+        assert in_independence(dist, t, LukasiewiczLike(Generator(power))).verdict
+
+    @pytest.mark.parametrize("grid, message", [
+        (0, "grid must be >= 1, got 0"),
+        (-3, "grid must be >= 1, got -3"),
+        (2**63, "grid must be <= 9223372036854775807, got 9223372036854775808"),
+    ])
+    def test_grids_numpy_cannot_draw_are_refused(self, grid, message):
+        with pytest.raises(ValueError, match=message):
+            construct_luka_instance(SPACE3, Triplet.of("X1", "X2", "X3"), grid=grid)
 
     def test_factor_values_stay_on_the_grid(self):
         t = Triplet.of("X1", "X2", "X3")
