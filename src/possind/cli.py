@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Every verb is a thin wrapper over the library: verdicts always equal the
-corresponding library calls.  Exit codes: 0 for success (or a check that
-holds), 1 for a check answered false or a violation found, 2 for usage
-and input errors.  With --json PATH a machine-readable report is written;
-its fields are deterministic for identical inputs except `timing_ms`.
+corresponding library calls.  Each `_cmd_*` handler prints its answer and
+returns a dict of only the report fields it sets; `main` fills the rest
+(`verdict` and `results` null, `witnesses` and `counterexamples` empty)
+and alone derives the exit code: 1 when the verdict is false (a check
+answered false or a violation found), else 0, and 2 for usage and input
+errors.  With --json PATH a machine-readable report is written; its
+fields are deterministic for identical inputs except `timing_ms`.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from .cases import run_worked_examples
@@ -61,12 +65,27 @@ def _print_table(dist) -> None:
         print(f"  {label} -> {value:g}")
 
 
+def _print_capped(items, line, more: str) -> None:
+    """Print `line(item)` for the first _PRINT_CAP items, then how many are left."""
+    for item in items[:_PRINT_CAP]:
+        print(f"  {line(item)}")
+    if len(items) > _PRINT_CAP:
+        print(f"  ... and {len(items) - _PRINT_CAP}{more}")
+
+
+def _relation(args):
+    dist = load_distribution(args.dist)  # before --conj, so a missing file is reported first
+    conj = parse_conjunction(args.conj)
+    kind = RelationKind(args.relation)
+    return kind, conj, enumerate_relation(dist, conj, kind, args.eps)
+
+
 def _cmd_marginalize(args):
     dist = load_distribution(args.dist)
     out = dist.marginalize(_names(args.keep))
     print(f"marginal on {{{', '.join(out.scope)}}}:")
     _print_table(out)
-    return 0, None, {"distribution": distribution_document(out)}, [], []
+    return {"results": {"distribution": distribution_document(out)}}
 
 
 def _cmd_condition(args):
@@ -76,52 +95,38 @@ def _cmd_condition(args):
     given = ", ".join(_names(args.given)) or "nothing"
     print(f"conditional of {{{', '.join(_names(args.target))}}} given {given} under {conj}:")
     _print_table(out)
-    return 0, None, {"distribution": distribution_document(out)}, [], []
-
-
-def _membership_fn(relation: str):
-    kind = RelationKind(relation)
-    return kind, (
-        in_independence if kind is RelationKind.INDEPENDENCE else in_noninteractivity
-    )
+    return {"results": {"distribution": distribution_document(out)}}
 
 
 def _cmd_independent(args):
     dist = load_distribution(args.dist)
     conj = parse_conjunction(args.conj)
-    kind, test = _membership_fn(args.relation)
+    kind = RelationKind(args.relation)
+    test = in_independence if kind is RelationKind.INDEPENDENCE else in_noninteractivity
     t = Triplet.of(_names(args.a), _names(args.b), _names(args.c))
     evidence = test(dist, t, conj, args.eps)
     state = "is" if evidence.verdict else "is not"
     print(f"{t} {state} in the {kind.value} relation under {conj}")
-    for w in evidence.witnesses[:_PRINT_CAP]:
-        print(
-            f"  at {_fmt_assignment(dist.space, w.assignment)}: "
-            f"left={w.left:g} right={w.right:g}"
-        )
-    if len(evidence.witnesses) > _PRINT_CAP:
-        print(f"  ... and {len(evidence.witnesses) - _PRINT_CAP} more witnesses")
+    _print_capped(
+        evidence.witnesses,
+        lambda w: (f"at {_fmt_assignment(dist.space, w.assignment)}: "
+                   f"left={w.left:g} right={w.right:g}"),
+        " more witnesses",
+    )
     witnesses = [_witness_doc(w) for w in evidence.witnesses]
-    return (0 if evidence.verdict else 1), evidence.verdict, None, witnesses, []
+    return {"verdict": evidence.verdict, "witnesses": witnesses}
 
 
 def _cmd_enumerate(args):
-    dist = load_distribution(args.dist)
-    conj = parse_conjunction(args.conj)
-    kind = RelationKind(args.relation)
-    rel = enumerate_relation(dist, conj, kind, args.eps)
+    kind, conj, rel = _relation(args)
     print(f"{len(rel)} triplets in the {kind.value} relation under {conj}:")
     for t in rel:
         print(f"  {t}")
-    results = {"count": len(rel), "members": [_triplet_doc(t) for t in rel]}
-    return 0, None, results, [], []
+    return {"results": {"count": len(rel), "members": [_triplet_doc(t) for t in rel]}}
 
 
 def _cmd_axioms(args):
-    dist = load_distribution(args.dist)
-    conj = parse_conjunction(args.conj)
-    kind = RelationKind(args.relation)
-    rel = enumerate_relation(dist, conj, kind, args.eps)
+    kind, conj, rel = _relation(args)
     report = is_graphoid(rel) if args.level == "graphoid" else is_semigraphoid(rel)
     print(
         f"{kind.value} relation under {conj}: {len(rel)} triplets, "
@@ -129,17 +134,14 @@ def _cmd_axioms(args):
     )
     for axiom, ok in report.verdicts.items():
         print(f"  {axiom}: {'ok' if ok else 'violated'}")
-    for cx in report.counterexamples[:_PRINT_CAP]:
-        print(f"  {cx}")
-    if len(report.counterexamples) > _PRINT_CAP:
-        print(f"  ... and {len(report.counterexamples) - _PRINT_CAP} more")
-    results = {
-        "relation_size": len(rel),
-        "level": args.level,
-        "verdicts": dict(report.verdicts),
+    _print_capped(report.counterexamples, str, " more")
+    return {
+        "verdict": report.holds,
+        "results": {
+            "relation_size": len(rel), "level": args.level, "verdicts": dict(report.verdicts)
+        },
+        "counterexamples": [_counterexample_doc(cx) for cx in report.counterexamples],
     }
-    counterexamples = [_counterexample_doc(cx) for cx in report.counterexamples]
-    return (0 if report.holds else 1), report.holds, results, [], counterexamples
 
 
 def _cmd_fuzz(args):
@@ -167,47 +169,33 @@ def _cmd_fuzz(args):
         print(f"    {failure.detail}")
         if failure.path:
             print(f"    reproducer written to {failure.path}")
-    for mined in report.mined[:_PRINT_CAP]:
-        print(f"  mined (trial {mined.trial}, {mined.conjunction}): {mined.counterexample}")
-    if len(report.mined) > _PRINT_CAP:
-        print(f"  ... and {len(report.mined) - _PRINT_CAP} more mined counterexamples")
+    _print_capped(
+        report.mined,
+        lambda m: f"mined (trial {m.trial}, {m.conjunction}): {m.counterexample}",
+        " more mined counterexamples",
+    )
     results = {
         "trials_run": report.trials_run,
         "relations_checked": report.relations_checked,
-        "failures": [
-            {
-                "trial": f.trial,
-                "seed": f.seed,
-                "conjunction": f.conjunction,
-                "property": f.prop,
-                "detail": f.detail,
-                "reproducer": f.reproducer,
-                "path": f.path,
-            }
-            for f in report.failures
-        ],
+        "failures": [{"property": f.pop("prop"), **f} for f in map(asdict, report.failures)],
         "mined": [
-            {
-                "trial": m.trial,
-                "conjunction": m.conjunction,
-                "counterexample": _counterexample_doc(m.counterexample),
-            }
+            {"trial": m.trial, "conjunction": m.conjunction,
+             "counterexample": _counterexample_doc(m.counterexample)}
             for m in report.mined
         ],
     }
-    return (0 if report.ok else 1), report.ok, results, [], []
+    return {"verdict": report.ok, "results": results}
 
 
 def _cmd_examples(args):
     results = run_worked_examples(args.eps)
-    all_ok = all(r.passed for r in results)
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
         detail = f" ({r.detail})" if r.detail and not r.passed else ""
         print(f"{mark} {r.name}{detail}")
     print(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
-    doc = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
-    return (0 if all_ok else 1), all_ok, {"checks": doc}, [], []
+    checks = [asdict(r) for r in results]
+    return {"verdict": all(r.passed for r in results), "results": {"checks": checks}}
 
 
 def _add_common(sub, *, dist=False, conj=False, relation=False, eps=True):
@@ -295,28 +283,23 @@ def main(argv=None) -> int:
         return 0 if code in (0, None) else 2
 
     started = time.perf_counter()
+    fields = {"verdict": None, "results": None, "witnesses": [], "counterexamples": []}
     try:
-        code, verdict, results, witnesses, counterexamples = args.handler(args)
+        fields.update(args.handler(args))
         if args.json:
-            inputs = {
-                k: v
-                for k, v in sorted(vars(args).items())
-                if k not in ("handler", "json") and v is not None
-            }
+            inputs = {k: v for k, v in sorted(vars(args).items())
+                      if k not in ("handler", "json") and v is not None}
             report = {
                 "verb": args.verb,
                 "inputs": inputs,
-                "verdict": verdict,
-                "results": results,
-                "witnesses": witnesses,
-                "counterexamples": counterexamples,
+                **fields,
                 "timing_ms": int(round((time.perf_counter() - started) * 1000)),
             }
             write_json(report, args.json)
     except (PossindError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return code
+    return 1 if fields["verdict"] is False else 0
 
 
 if __name__ == "__main__":

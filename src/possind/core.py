@@ -193,7 +193,11 @@ class Distribution:
     """
 
     def __init__(self, space: Space, scope, table):
-        scope = space.subset(scope)
+        # a listed scope names the table's axes, so it must be in space order
+        listed = scope if isinstance(scope, (set, frozenset)) else _as_names(scope)
+        scope = space.subset(listed)
+        if isinstance(listed, tuple) and listed != scope:
+            raise ScopeMismatch(f"scope {listed} is not in space order; list it as {scope}")
         arr = np.array(table, dtype=float)
         expected = space.shape(scope)
         if arr.shape != expected:
@@ -270,11 +274,17 @@ class Distribution:
 
 
 def make_distribution(space: Space, scope, entries=()) -> Distribution:
-    """Build a distribution from (assignment, degree) pairs; unlisted assignments are 0."""
+    """Build a distribution from (assignment, degree) pairs; unlisted assignments
+    are 0, and each assignment may be listed once (else DuplicateValue)."""
     scope = space.subset(scope)
     table = np.zeros(space.shape(scope))
+    listed = set()
     for assignment, value in entries:
-        table[space.indices(assignment, scope)] = listed_degree(value)
+        idx = space.indices(assignment, scope)
+        if idx in listed:
+            raise DuplicateValue(f"duplicate assignment {assignment}")
+        listed.add(idx)
+        table[idx] = listed_degree(value)
     return Distribution(space, scope, table)
 
 

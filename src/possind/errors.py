@@ -10,7 +10,7 @@ class DuplicateVariable(PossindError):
 
 
 class DuplicateValue(PossindError, ValueError):
-    """A frame lists the same value more than once."""
+    """A frame lists the same value, or a table the same assignment, more than once."""
 
 
 class EmptyFrame(PossindError):

@@ -1,7 +1,9 @@
 """Exit codes, stdout shape and JSON reports of the command-line front end."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,7 +30,8 @@ from possind import (
     make_distribution,
     random_distribution,
 )
-from possind import graphoid
+from possind import cli, graphoid
+from possind.cases import CaseResult
 from possind.cli import main
 
 from conftest import SPACE3
@@ -508,3 +511,85 @@ class TestParserReuse:
         for report in reports:
             report.pop("timing_ms")
         assert reports[0] == reports[1] == reports[2]
+
+
+def _plant_violation(monkeypatch):
+    # an independence relation without its mirror breaks symmetry
+    broken = IndependenceRelation(SPACE3, frozenset({Triplet.of("X1", "X2", ())}))
+    monkeypatch.setattr(graphoid, "_enumerate_relations", lambda dist, conjs, kinds, eps:
+                        tuple((broken,) * len(kinds) for _ in conjs))
+
+
+def _plant_failing_example(monkeypatch):
+    monkeypatch.setattr(cli, "run_worked_examples",
+                        lambda eps: [CaseResult("held", True), CaseResult("planted", False, "x")])
+
+
+_NO_CHECK = {"verdict": None, "witnesses": [], "counterexamples": []}
+_RELATION = ["--conj", "prod", "--relation", "noninteractivity"]
+
+
+class TestVerbContract:
+    """Every verb's exit code is 1 exactly when its report's verdict is false, and
+    a report field the verb does not set is empty or null."""
+
+    @pytest.mark.parametrize("argv, plant, code, verdict, unset", [
+        (["marginalize", "--dist", "one_sided", "--keep", "X1"], None, 0, None, _NO_CHECK),
+        (["condition", "--dist", "one_sided", "--target", "X1", "--given", "X3",
+          "--conj", "min"], None, 0, None, _NO_CHECK),
+        (["enumerate", "--dist", "two_peak", *_RELATION], None, 0, None, _NO_CHECK),
+        (["independent", "--dist", "uniform", "--a", "X1", "--b", "X2", "--c", "X3",
+          "--conj", "min", "--relation", "independence"], None, 0, True,
+         {"results": None, "witnesses": [], "counterexamples": []}),
+        (["independent", "--dist", "one_sided", "--a", "X1", "--b", "X2", "--c", "X3",
+          "--conj", "min", "--relation", "independence"], None, 1, False,
+         {"results": None, "counterexamples": []}),
+        (["axioms", "--dist", "two_peak", *_RELATION, "--level", "semigraphoid"], None, 0, True,
+         {"witnesses": [], "counterexamples": []}),
+        (["axioms", "--dist", "two_peak", *_RELATION, "--level", "graphoid"], None, 1, False,
+         {"witnesses": []}),
+        (["fuzz", "--trials", "4", "--seed", "9", "--conj", "min"], None, 0, True,
+         {"witnesses": [], "counterexamples": []}),
+        (["fuzz", "--trials", "3", "--seed", "4", "--conj", "prod"], _plant_violation, 1, False,
+         {"witnesses": [], "counterexamples": []}),
+        (["examples"], None, 0, True, {"witnesses": [], "counterexamples": []}),
+        (["examples"], _plant_failing_example, 1, False, {"witnesses": [], "counterexamples": []}),
+    ], ids=["marginalize", "condition", "enumerate", "independent-true", "independent-false",
+            "axioms-true", "axioms-false", "fuzz-true", "fuzz-false", "examples-true",
+            "examples-false"])
+    def test_exit_code_follows_the_verdict(self, argv, plant, code, verdict, unset, request,
+                                           monkeypatch, tmp_path, capsys):
+        if plant:
+            plant(monkeypatch)
+        if "--dist" in argv:
+            at = argv.index("--dist") + 1
+            argv = [*argv[:at], request.getfixturevalue(f"{argv[at]}_file"), *argv[at + 1:]]
+        out_path = tmp_path / "report.json"
+        assert main(argv + ["--json", str(out_path)]) == code
+        report, keys = report_keys(out_path)
+        assert keys == EXPECTED_KEYS
+        assert report["verdict"] is verdict
+        assert {k: report[k] for k in unset} == unset
+        for field in EXPECTED_KEYS - {"verb", "inputs", "timing_ms"} - set(unset):
+            assert report[field] not in (None, []), field
+
+
+class TestReadmeCommandLine:
+    def test_every_verb_and_option_is_documented(self):
+        # README's command-line block: a verb's lines start at `possind <verb>`
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command line\n\n```text\n", 1)[1].split("```", 1)[0]
+        documented = {}
+        for line in block.splitlines():
+            if line.startswith("possind "):
+                verb = line.split()[1]
+                documented[verb] = ""
+            documented[verb] += line + "\n"
+        [verbs] = [a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(documented) == set(verbs.choices)
+        for verb, sub in verbs.choices.items():
+            for action in sub._actions:
+                for option in action.option_strings:
+                    if option not in ("-h", "--help"):
+                        assert re.search(rf"{re.escape(option)}\b", documented[verb]), \
+                            f"{verb} {option}"

@@ -146,6 +146,40 @@ class TestMakeDistribution:
         with pytest.raises(ValueError):
             one_sided.table[0, 0, 0] = 0.0
 
+    @pytest.mark.parametrize("scope", [("X2", "X1"), ["X2", "X1"], iter(("X2", "X1"))],
+                             ids=["tuple", "list", "iterator"])
+    def test_scope_listed_out_of_space_order_rejected(self, scope):
+        # a square table fits either axis order, so only the order check can tell
+        space = build_space([("X1", "01"), ("X2", "01")])
+        with pytest.raises(ScopeMismatch, match=r"list it as \('X1', 'X2'\)"):
+            Distribution(space, scope, [[1.0, 0.2], [0.7, 0.1]])
+
+    @pytest.mark.parametrize("scope", [("X1", "X2"), ["X1", "X2"], iter(("X1", "X2")),
+                                       {"X2", "X1"}, frozenset({"X2", "X1"})],
+                             ids=["tuple", "list", "iterator", "set", "frozenset"])
+    def test_scope_in_space_order_or_unordered_accepted(self, scope):
+        space = build_space([("X1", "01"), ("X2", "01")])
+        dist = Distribution(space, scope, [[1.0, 0.2], [0.7, 0.1]])
+        assert dist.scope == ("X1", "X2")
+        assert dist.at({"X1": "1", "X2": "0"}) == 0.7
+
+    def test_single_name_scope_accepted(self):
+        space = build_space([("X1", "01"), ("X2", "01")])
+        assert Distribution(space, "X2", [1.0, 0.2]).scope == ("X2",)
+
+    def test_make_distribution_puts_the_scope_in_space_order(self):
+        space = build_space([("X1", "01"), ("X2", "01")])
+        dist = make_distribution(space, ("X2", "X1"), [({"X1": "1", "X2": "0"}, 1.0)])
+        assert dist.scope == ("X1", "X2")
+        assert dist.at({"X1": "1", "X2": "0"}) == 1.0
+
+    @pytest.mark.parametrize("second", [0.3, 1.0], ids=["equal", "different"])
+    def test_assignment_listed_twice_rejected(self, second):
+        rows = [({"X1": "0"}, 0.3), ({"X1": "0"}, second)]
+        with pytest.raises(DuplicateValue, match=r"duplicate assignment \{'X1': '0'\}") as exc:
+            make_distribution(build_space([("X1", "01")]), ["X1"], rows)
+        assert isinstance(exc.value, PossindError) and isinstance(exc.value, ValueError)
+
 
 class TestMarginalize:
     def test_one_sided_marginal_on_x3(self, one_sided):
