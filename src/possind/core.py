@@ -329,7 +329,9 @@ class Triplet:
 
 @dataclass(frozen=True)
 class IndependenceRelation:
-    """A finite set of triplets over one space."""
+    """A finite set of triplets over one space.  A relation from enumeration
+    carries its _encoding; a hand-built one derives it from its members'
+    names when first read, and refuses an invalid member with BadTriplet."""
 
     space: Space
     members: frozenset
@@ -348,29 +350,69 @@ class IndependenceRelation:
         """The members in sort_key order."""
         return self._encoding[2]
 
+    @classmethod
+    def _encoded(cls, space: Space, tables, rows: np.ndarray) -> "IndependenceRelation":
+        """The relation of the valid triplets whose parts are the (M, 3) int64
+        `rows` of indices into `tables` (_mask_tables, or None if no rows)."""
+        encoding = _encode(tables, rows) if len(rows) else ((), rows, ())
+        rel = cls(space, frozenset(encoding[2]))
+        rel.__dict__["_encoding"] = encoding  # where the cached property keeps it
+        return rel
+
     @functools.cached_property
     def _encoding(self) -> tuple[tuple[str, ...], np.ndarray, tuple[Triplet, ...]]:
         """(names, rows, members): the names the members use, sorted; and the
         members in sort_key order, with the int64 (a, b, c) bitmasks of
         each over those names as the rows of an (M, 3) array.  TooLarge
-        past ENCODED_NAMES names."""
-        members = list(self.members)
-        parts = {p for t in members for p in (t.a, t.b, t.c)}
-        names = tuple(sorted(set().union(*parts)))
+        past ENCODED_NAMES names; for an invalid member, BadTriplet."""
+        index = {p: i for i, p in enumerate({p for t in self.members for p in (t.a, t.b, t.c)})}
+        names = tuple(sorted(set().union(*index)))
         if len(names) > ENCODED_NAMES:
             raise TooLarge(f"the relation names {len(names)} variables; its encoding "
                            f"holds at most {ENCODED_NAMES}")
-        # ranks of the parts' sorted names order the members as sort_key does
-        ranked = sorted(parts, key=sorted)
-        rank = {p: i for i, p in enumerate(ranked)}
-        part_masks = np.array(masks(names, *ranked), dtype=np.int64)
-        ranks = np.array([(rank[t.a], rank[t.b], rank[t.c]) for t in members],
-                         dtype=np.int64).reshape(-1, 3)
-        order = np.lexsort(ranks.T[::-1])
-        return names, part_masks[ranks[order]], tuple(members[i] for i in order.tolist())
+        rows = [(index[t.a], index[t.b], index[t.c]) for t in self.members]
+        encoding = _encode(_mask_tables(names, masks(names, *index)),
+                           np.array(rows, np.int64).reshape(-1, 3))
+        # members must name variables of the space, in nonempty a and b and
+        # pairwise disjoint parts; Triplet.validate words the first failure
+        a, b, c = encoding[1].T
+        unknown = sum(1 << i for i, n in enumerate(names) if n not in self.space.names)
+        bad = (a == 0) | (b == 0) | ((a & b | a & c | b & c | (a | b | c) & unknown) != 0)
+        if bad.any():
+            encoding[2][bad.argmax()].validate(self.space)
+        return encoding
 
     def __repr__(self) -> str:
         return f"IndependenceRelation({len(self.members)} triplets)"
+
+
+def _mask_tables(order: tuple[str, ...], bitmasks) -> tuple:
+    """(names, rank, moved, parts): `order` sorted; and per bitmask of
+    `bitmasks` over order, its rank among them by sorted names, its bits
+    moved onto names, and its names as a frozenset."""
+    names = sorted(order)
+    bits = [1 << order.index(n) for n in names]
+    picked = [[i for i, bit in enumerate(bits) if m & bit] for m in bitmasks]
+    rank = np.argsort(sorted(range(len(picked)), key=picked.__getitem__))
+    moved = np.array([sum(1 << i for i in p) for p in picked], np.int64)
+    return names, rank, moved, [frozenset(names[i] for i in p) for p in picked]
+
+
+def _encode(tables: tuple, rows: np.ndarray) -> tuple:
+    """The _encoding of the triplets whose parts are the (M, 3) `rows` of
+    indices into `tables` (_mask_tables): sorted by the parts' ranks, as
+    sort_key sorts them, with masks over the sorted names they use.  Each
+    Triplet is built once, from the tables' parts."""
+    names, rank, moved, parts = tables
+    rows = rows[np.lexsort(rank[rows].T[::-1])]
+    out = moved[rows]
+    used = int(np.bitwise_or.reduce(out, axis=None))
+    if used != (1 << len(names)) - 1:  # squeeze out the bits of names no member uses
+        kept = [i for i in range(len(names)) if used >> i & 1]
+        out = (out[..., None] >> kept & 1) @ (1 << np.arange(len(kept)))
+        names = [names[i] for i in kept]
+    return (tuple(names), out,
+            tuple(Triplet(parts[a], parts[b], parts[c]) for a, b, c in rows.tolist()))
 
 
 def triplet_count(n_variables: int) -> int:

@@ -33,11 +33,11 @@ from .core import (
     Space,
     Triplet,
     _check_grid,
+    _mask_tables,
     check_degrees,
     check_eps,
     masks,
     triplet_count,
-    triplets_from_masks,
 )
 from .errors import BadTriplet, NotNormalised, ScopeMismatch, TooLarge, TooSmall
 
@@ -398,7 +398,7 @@ def _block_route(sizes, base, local, mirror) -> tuple:
 
 
 def _block_members(conjs, kinds, eps, group, flat, found) -> None:
-    """Add to found[i][j] the (a, b, c) masks of the members of kind
+    """Append to found[i][j] the (a, b, c) mask rows of the members of kind
     kinds[j] under conjs[i] among the candidates of `group`, a block
     group of _plan(dist.table.shape); `flat` concatenates the lattice
     entries of the plan's masks.
@@ -432,7 +432,7 @@ def _block_members(conjs, kinds, eps, group, flat, found) -> None:
                 else:
                     rhs = _checked(conj._conjoin(own, own.take(pair, 0)))
                     ok = np.abs(lhs[i].take(left[start:stop, 1], 0) - rhs).max(axis=1) <= eps
-                members += candidates[start:stop][ok].tolist()
+                members.append(candidates[start:stop][ok])
 
 
 def enumerate_relation(
@@ -458,7 +458,10 @@ def _enumerate_relations(dist, conjs, kinds, eps=EPS) -> tuple:
     The scopes past CROSSOVER_CELLS are enumerated one triplet at a
     time, stopping at the first failed side, one conjunction after the
     other: each conjunction's conditionals are kept in a dict shared by
-    its kinds and freed before the next conjunction's."""
+    its kinds and freed before the next conjunction's.  Each relation
+    leaves with its encoding, made by core._encode from its members'
+    (a, b, c) mask rows over dist.scope and the one set of mask tables
+    (core._mask_tables) that all relations of the call share."""
     if not dist.normalised:
         raise NotNormalised("relation enumeration needs a normalised distribution")
     if len(dist.scope) < 2:
@@ -477,10 +480,14 @@ def _enumerate_relations(dist, conjs, kinds, eps=EPS) -> tuple:
         for candidates, route in groups:
             if route is None:
                 for members, kind in zip(rows, kinds):
-                    members += [t for t in candidates.tolist() if all(
+                    members.append(candidates[[all(
                         np.max(np.abs(lhs - rhs)) <= eps
-                        for lhs, rhs in _membership_sides(dist, conj, kind, *t, memo))]
-    return tuple(tuple(IndependenceRelation(dist.space,
-                                            frozenset(triplets_from_masks(dist.scope, members)))
+                        for lhs, rhs in _membership_sides(dist, conj, kind, *t, memo))
+                        for t in candidates.tolist()]])
+    found = [[np.concatenate(members) for members in rows] for rows in found]
+    # most small tables relate nothing, and an empty relation reads no tables
+    tables = _mask_tables(dist.scope, range(1 << len(dist.scope))) if any(
+        len(members) for rows in found for members in rows) else None
+    return tuple(tuple(IndependenceRelation._encoded(dist.space, tables, members)
                        for members in rows)
                  for rows in found)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from possind import (
     GRAPHOID_AXIOMS,
     SEMIGRAPHOID_AXIOMS,
     AxiomReport,
+    BadTriplet,
     Counterexample,
     Distribution,
     FuzzConfig,
@@ -38,7 +40,7 @@ from possind import (
     make_distribution,
     random_distribution,
 )
-from possind import graphoid
+from possind import core, graphoid, independence
 from possind.serialize import reproducer_document
 
 from conftest import SPACE3
@@ -118,6 +120,18 @@ class TestAxioms:
     def test_unknown_axiom_rejected(self):
         with pytest.raises(ValueError):
             check_axiom(relation(), "transitivity")
+
+    @pytest.mark.parametrize("invalid", [
+        Triplet.of("X1", "X1"), Triplet.of((), "X2"), Triplet.of("Q", "X2"),
+        Triplet.of("X1", "X2", "X2")], ids=str)
+    def test_invalid_members_are_refused(self, invalid):
+        # (X1 ; X1 | -) once encoded as (- ; - | X1), and every axiom held
+        with pytest.raises(BadTriplet) as expected:
+            invalid.validate(SPACE3)
+        for read in (is_graphoid, list, lambda rel: rel.sorted_members):
+            rel = relation(Triplet.of("X1", "X2"), invalid, Triplet.of("X2", "X1"))
+            with pytest.raises(BadTriplet, match=f"^{re.escape(str(expected.value))}$"):
+                read(rel)
 
 
 #: Names whose sorted order differs from the space order.
@@ -265,7 +279,11 @@ class TestAgainstReference:
         assert reports == [is_graphoid(relation())] * 2 and reports[0].holds
 
     @settings(max_examples=100, deadline=None)
-    @given(rel=relations4)
+    @given(rel=relations4 | st.builds(
+        lambda seed, conj, kind: enumerate_relation(random_distribution(SPACE4, 2, seed=seed),
+                                                    conj, kind),
+        st.integers(0, 2**32 - 1), st.sampled_from((Min(), ProductLike(), LukasiewiczLike())),
+        st.sampled_from(RelationKind)))
     def test_sorted_members_follow_sort_key(self, rel):
         assert rel.sorted_members == tuple(sorted(rel.members, key=lambda t: t.sort_key))
 
@@ -475,6 +493,30 @@ class TestFuzz:
         assert len(conjs) == 3
         assert [len(args[0]) for args in calls["_check_axioms"]] == [5]
         assert [int(rel.max()) + 1 for _, _, rel in calls["_Rows"]] == [5]
+
+    def test_enumerated_relations_leave_encoded(self, monkeypatch, two_peak):
+        # only a hand-built relation maps its members' names to masks; an
+        # enumeration call builds one set of mask tables for all its relations
+        def refused(*args):
+            raise AssertionError("members' names mapped to masks")
+
+        monkeypatch.setattr(core, "masks", refused)
+        calls = {"_encode": [], "_mask_tables": []}
+        for module, name in ((core, "_encode"), (independence, "_mask_tables")):
+            def counted(*args, fn=getattr(module, name), seen=calls[name]):
+                seen.append(args)
+                return fn(*args)
+            monkeypatch.setattr(module, name, counted)
+        ones = Distribution(SPACE3, SPACE3.names, np.ones((2, 2, 2)))
+        assert fuzz_properties(FuzzConfig(trials=0, inject=(ones,))).ok
+        assert [len(args[1]) for args in calls["_encode"]] == [18] * 6
+        assert len(calls["_mask_tables"]) == 1
+        assert fuzz_properties(FuzzConfig(trials=20, seed=7)).ok and len(calls["_encode"]) > 6
+        rel = enumerate_relation(two_peak, Min(), RelationKind.NON_INTERACTIVITY)
+        assert is_graphoid(rel).failing() == ("intersection",)
+        assert list(rel) == list(rel.sorted_members) and len(rel) == 6
+        with pytest.raises(AssertionError, match="names mapped to masks"):
+            is_graphoid(IndependenceRelation(rel.space, rel.members))
 
     def test_a_trial_imports_no_masked_arrays(self):
         # numpy.ma costs about 1 MB of RSS; np.unique, for one, imports it

@@ -14,6 +14,7 @@ from possind import (
     Distribution,
     FuzzConfig,
     Generator,
+    IndependenceRelation,
     LukasiewiczLike,
     Min,
     NotNormalised,
@@ -869,6 +870,57 @@ class TestBlocks:
                     assert np.array_equal(own[pair], own[:, [1, 0, 2]])
             for kind in RelationKind:
                 assert enumerate_relation(dist, MIN, kind).members == expected[kind]
+
+
+#: Names whose sorted order differs from the space order, on frames of 2 and 3.
+SORTED_APART = tuple(build_space([(n, frame) for n in names]) for names, frame in (
+    (("X2", "X10", "b", "a"), "01"), (("B", "X10", "A", "X2"), "012")))
+
+
+def blocked_table(space, blocks, combine, seed):
+    """`combine` of one factor per block of axes, drawn from `seed`."""
+    rng = np.random.default_rng(seed)
+    shape = space.shape(space.names)
+    table = np.ones(shape)
+    for block in blocks:
+        table = combine(table, _factor(rng, tuple(f if i in block else 1
+                                                  for i, f in enumerate(shape))))
+    return table
+
+
+def assert_encoded_as_hand_built(rel):
+    """The encoding a relation carries equals the one derived from its
+    members' names: names, mask rows and member order."""
+    names, rows, members = rel._encoding
+    hand_names, hand_rows, hand_members = IndependenceRelation(rel.space, rel.members)._encoding
+    assert (names, members) == (hand_names, hand_members)
+    assert members == tuple(sorted(rel.members, key=lambda t: t.sort_key)) == tuple(rel)
+    assert rows.dtype == hand_rows.dtype == np.int64 and rows.shape == (len(rel), 3)
+    assert np.array_equal(rows, hand_rows)
+
+
+class TestEncoding:
+    def test_enumerated_encodings_equal_the_hand_built_ones(self):
+        # one call per table, so all twelve relations share its mask tables,
+        # and consecutive calls have different scopes
+        tables = seeded_tables() + mixed_tables() + crossover_tables() + [
+            (space, blocked_table(space, blocks, combine, 0)) for space in SORTED_APART
+            for blocks, combine in ((((0, 2), (1, 3)), np.multiply),
+                                    (((0,), (1, 2, 3)), np.minimum),
+                                    (((1,), (3,), (0, 2)), np.multiply))]
+        conjs = ROUTE_FAMILIES + (Hamacher(),)
+        used = set()
+        for space, table in tables:
+            dist = Distribution(space, space.names, table)
+            rels = independence._enumerate_relations(dist, conjs, tuple(RelationKind))
+            for conj, pair in zip(conjs, rels):
+                for kind, rel in zip(RelationKind, pair):
+                    assert rel == enumerate_relation(dist, conj, kind)
+                    assert_encoded_as_hand_built(rel)
+                    if space in SORTED_APART:
+                        used.add((space, len(rel._encoding[0])))
+        # empty relations, and relations over part of the scope and over all of it
+        assert all({0, 4} < {n for over, n in used if over == space} for space in SORTED_APART)
 
 
 class TestEpsValidation:
