@@ -107,7 +107,6 @@ class Space:
             frames[name] = values
         self._names = tuple(names)
         self._frames = frames
-        self._axis = {n: i for i, n in enumerate(self._names)}
         self._value_pos = {n: {v: i for i, v in enumerate(f)} for n, f in frames.items()}
 
     @property
@@ -128,7 +127,7 @@ class Space:
         """Canonicalize a set of variable names to a tuple in space order."""
         wanted = set()
         for n in _as_names(names):
-            if n not in self._axis:
+            if n not in self._frames:
                 raise ScopeMismatch(f"unknown variable {n!r}")
             wanted.add(n)
         return tuple(n for n in self._names if n in wanted)
@@ -327,92 +326,95 @@ class Triplet:
         return f"({fmt(self.a)} ; {fmt(self.b)} | {fmt(self.c)})"
 
 
-@dataclass(frozen=True)
 class IndependenceRelation:
-    """A finite set of triplets over one space.  A relation from enumeration
-    carries its _encoding; a hand-built one derives it from its members'
-    names when first read, and refuses an invalid member with BadTriplet."""
+    """A finite set of triplets over one space, equal by space and members.
+    An enumerated one holds only its _encoding and decodes members when read;
+    a hand-built one encodes its members when read, refusing invalid ones."""
 
-    space: Space
-    members: frozenset
-
-    def __contains__(self, t: Triplet) -> bool:
-        return t in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[Triplet]:
-        return iter(self.sorted_members)
-
-    @property
-    def sorted_members(self) -> tuple[Triplet, ...]:
-        """The members in sort_key order."""
-        return self._encoding[2]
+    def __init__(self, space: Space, members: frozenset):
+        self.space = space
+        self.members = members
 
     @classmethod
     def _encoded(cls, space: Space, tables, rows: np.ndarray) -> "IndependenceRelation":
         """The relation of the valid triplets whose parts are the (M, 3) int64
         `rows` of indices into `tables` (_mask_tables, or None if no rows)."""
-        encoding = _encode(tables, rows) if len(rows) else ((), rows, ())
-        rel = cls(space, frozenset(encoding[2]))
-        rel.__dict__["_encoding"] = encoding  # where the cached property keeps it
+        rel = cls.__new__(cls)
+        rel.space = space
+        rel._encoding = _encode(tables, rows) if len(rows) else ((), rows)
         return rel
 
+    def __contains__(self, t: Triplet) -> bool:
+        return t in self.members
+
+    def __len__(self) -> int:
+        return len(self._encoding[1] if "_encoding" in self.__dict__ else self.members)
+
+    def __iter__(self) -> Iterator[Triplet]:
+        return iter(self.sorted_members)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.space, self.members) == (other.space, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.members))
+
     @functools.cached_property
-    def _encoding(self) -> tuple[tuple[str, ...], np.ndarray, tuple[Triplet, ...]]:
-        """(names, rows, members): the names the members use, sorted; and the
-        members in sort_key order, with the int64 (a, b, c) bitmasks of
-        each over those names as the rows of an (M, 3) array.  TooLarge
-        past ENCODED_NAMES names; for an invalid member, BadTriplet."""
+    def members(self) -> frozenset:
+        return frozenset(self.sorted_members)
+
+    @functools.cached_property
+    def sorted_members(self) -> tuple[Triplet, ...]:
+        """The members in sort_key order, decoded from the encoding."""
+        names, rows = self._encoding
+        return tuple(triplets_from_masks(names, rows.tolist()))
+
+    @functools.cached_property
+    def _encoding(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """(names, rows): the sorted names the members use, and the (M, 3)
+        int64 (a, b, c) bitmasks over them of the members in sort_key order.
+        TooLarge past ENCODED_NAMES names, then Triplet.validate's BadTriplet."""
         index = {p: i for i, p in enumerate({p for t in self.members for p in (t.a, t.b, t.c)})}
         names = tuple(sorted(set().union(*index)))
         if len(names) > ENCODED_NAMES:
             raise TooLarge(f"the relation names {len(names)} variables; its encoding "
                            f"holds at most {ENCODED_NAMES}")
+        for t in sorted(self.members, key=lambda t: t.sort_key):
+            t.validate(self.space)
         rows = [(index[t.a], index[t.b], index[t.c]) for t in self.members]
-        encoding = _encode(_mask_tables(names, masks(names, *index)),
-                           np.array(rows, np.int64).reshape(-1, 3))
-        # members must name variables of the space, in nonempty a and b and
-        # pairwise disjoint parts; Triplet.validate words the first failure
-        a, b, c = encoding[1].T
-        unknown = sum(1 << i for i, n in enumerate(names) if n not in self.space.names)
-        bad = (a == 0) | (b == 0) | ((a & b | a & c | b & c | (a | b | c) & unknown) != 0)
-        if bad.any():
-            encoding[2][bad.argmax()].validate(self.space)
-        return encoding
+        return _encode(_mask_tables(names, masks(names, *index)),
+                       np.array(rows, np.int64).reshape(-1, 3))
 
     def __repr__(self) -> str:
-        return f"IndependenceRelation({len(self.members)} triplets)"
+        return f"IndependenceRelation({len(self)} triplets)"
 
 
 def _mask_tables(order: tuple[str, ...], bitmasks) -> tuple:
-    """(names, rank, moved, parts): `order` sorted; and per bitmask of
-    `bitmasks` over order, its rank among them by sorted names, its bits
-    moved onto names, and its names as a frozenset."""
+    """(names, rank, moved): `order` sorted; and per bitmask of `bitmasks`
+    over order, its rank among them by sorted names and its bits moved
+    onto names."""
     names = sorted(order)
     bits = [1 << order.index(n) for n in names]
     picked = [[i for i, bit in enumerate(bits) if m & bit] for m in bitmasks]
     rank = np.argsort(sorted(range(len(picked)), key=picked.__getitem__))
-    moved = np.array([sum(1 << i for i in p) for p in picked], np.int64)
-    return names, rank, moved, [frozenset(names[i] for i in p) for p in picked]
+    return names, rank, np.array([sum(1 << i for i in p) for p in picked], np.int64)
 
 
 def _encode(tables: tuple, rows: np.ndarray) -> tuple:
-    """The _encoding of the triplets whose parts are the (M, 3) `rows` of
-    indices into `tables` (_mask_tables): sorted by the parts' ranks, as
-    sort_key sorts them, with masks over the sorted names they use.  Each
-    Triplet is built once, from the tables' parts."""
-    names, rank, moved, parts = tables
-    rows = rows[np.lexsort(rank[rows].T[::-1])]
-    out = moved[rows]
+    """The _encoding (names, rows) of the triplets whose parts are the
+    (M, 3) `rows` of indices into `tables` (_mask_tables): sorted by the
+    parts' ranks, as sort_key sorts them, with masks over the sorted
+    names they use.  It builds no Triplet; triplets_from_masks decodes."""
+    names, rank, moved = tables
+    out = moved[rows[np.lexsort(rank[rows].T[::-1])]]
     used = int(np.bitwise_or.reduce(out, axis=None))
     if used != (1 << len(names)) - 1:  # squeeze out the bits of names no member uses
         kept = [i for i in range(len(names)) if used >> i & 1]
         out = (out[..., None] >> kept & 1) @ (1 << np.arange(len(kept)))
         names = [names[i] for i in kept]
-    return (tuple(names), out,
-            tuple(Triplet(parts[a], parts[b], parts[c]) for a, b, c in rows.tolist()))
+    return tuple(names), out
 
 
 def triplet_count(n_variables: int) -> int:
@@ -433,8 +435,8 @@ def candidate_masks(n_variables: int) -> list[tuple[int, int, int]]:
 
 
 def triplets_from_masks(order: tuple[str, ...], rows) -> list[Triplet]:
-    """The triplet of each (a, b, c) row of bitmasks over `order`, bit i
-    standing for order[i]; triplets share one frozenset per distinct mask."""
+    """The one decoder: the triplet of each (a, b, c) row of bitmasks over
+    `order`, bit i standing for order[i], sharing one frozenset per mask."""
     part = {m: frozenset(n for i, n in enumerate(order) if m >> i & 1)
             for m in {m for row in rows for m in row}}
     return [Triplet(part[a], part[b], part[c]) for a, b, c in rows]

@@ -129,10 +129,10 @@ class _Rows:
         return a | c | (b | c) << self.n
 
     def parts(self, code):
-        """The (a, b, c) masks of codes."""
+        """The (a, b, c) masks of codes, as the rows of a (K, 3) array."""
         ones = (1 << self.n) - 1
         low, high = code & ones, code >> self.n & ones
-        return low & ~high, high & ~low, low & high
+        return np.stack((low & ~high, high & ~low, low & high), axis=1)
 
     def rank_of(self, code) -> np.ndarray:
         """Each coded triplet's rank among the members, -1 for a non-member."""
@@ -227,7 +227,7 @@ def _check_axioms(rels, axioms) -> list[AxiomReport]:
     twice the widest name count, and where those would pass 63 bits the
     relations are halved, each half its own pass; one relation always
     fits."""
-    live = [i for i, r in enumerate(rels) if r.members]
+    live = [i for i, r in enumerate(rels) if len(r)]
     n = max((len(rels[i]._encoding[0]) for i in live), default=0)
     if 2 * n + (len(live) - 1).bit_length() > 63:
         half = len(rels) // 2
@@ -235,7 +235,7 @@ def _check_axioms(rels, axioms) -> list[AxiomReport]:
     reports = [AxiomReport(dict.fromkeys(axioms, True), ()) for _ in rels]
     if not live:
         return reports
-    names, rows, members = zip(*(rels[i]._encoding for i in live))
+    names, rows = zip(*(rels[i]._encoding for i in live))
     rel = np.arange(len(rows)).repeat([len(r) for r in rows])
     m = _Rows(np.concatenate(rows), n, rel)
     first, second, tiebreak, code = zip(*(_AXIOM_CHECKS[axiom][0](m) for axiom in axioms))
@@ -249,19 +249,17 @@ def _check_axioms(rels, axioms) -> list[AxiomReport]:
                                for column in (first, second, tiebreak))
     order = np.lexsort((tiebreak, first, of_axiom, rel[first]))
     ends = rel[first][order].searchsorted(np.arange(len(rows) + 1)).tolist()
-    parts = list(zip(*(part[order].tolist() for part in m.parts(code[missing]))))
-    of_axiom, first, second = (column[order].tolist() for column in (of_axiom, first, second))
-    members = [t for part in members for t in part]
-    premises = [_AXIOM_CHECKS[axiom][1] for axiom in axioms]
-    # each relation's counterexamples are one slice, concluded over its own names
+    of_axiom, *found = (column[order].tolist() for column in (
+        of_axiom, m.rows[first], m.rows[second], m.parts(code[missing])))
+    # each relation's counterexamples are one slice, decoded over its own names
     for i, own, lo, hi in zip(live, names, ends, ends[1:]):
         if lo < hi:
             failing = set(of_axiom[lo:hi])
             reports[i] = AxiomReport(
                 {axiom: k not in failing for k, axiom in enumerate(axioms)},
-                tuple(Counterexample(axioms[k], (members[f], members[s])[:premises[k]], t)
-                      for k, f, s, t in zip(of_axiom[lo:hi], first[lo:hi], second[lo:hi],
-                                            triplets_from_masks(own, parts[lo:hi]))))
+                tuple(Counterexample(axioms[k], (f, s)[:_AXIOM_CHECKS[axioms[k]][1]], t)
+                      for k, f, s, t in zip(of_axiom[lo:hi], *(
+                          triplets_from_masks(own, masks[lo:hi]) for masks in found))))
     return reports
 
 

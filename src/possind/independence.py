@@ -459,9 +459,9 @@ def _enumerate_relations(dist, conjs, kinds, eps=EPS) -> tuple:
     time, stopping at the first failed side, one conjunction after the
     other: each conjunction's conditionals are kept in a dict shared by
     its kinds and freed before the next conjunction's.  Each relation
-    leaves with its encoding, made by core._encode from its members'
-    (a, b, c) mask rows over dist.scope and the one set of mask tables
-    (core._mask_tables) that all relations of the call share."""
+    leaves holding only its encoding, built without a Triplet by
+    core._encode from its members' mask rows over dist.scope and the one
+    set of mask tables (core._mask_tables) all relations of the call share."""
     if not dist.normalised:
         raise NotNormalised("relation enumeration needs a normalised distribution")
     if len(dist.scope) < 2:

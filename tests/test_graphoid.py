@@ -288,6 +288,74 @@ class TestAgainstReference:
         assert rel.sorted_members == tuple(sorted(rel.members, key=lambda t: t.sort_key))
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The number of Triplets constructed since the fixture was set up."""
+    count = [0]
+
+    def counted(self, *args, init=Triplet.__init__, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Triplet, "__init__", counted)
+    return lambda: count[0]
+
+
+class TestRowsFirstRelations:
+    def test_enumeration_and_axiom_checks_build_no_triplet(self, built):
+        space = build_space([(f"X{i}", ("0", "1")) for i in range(1, 5)])
+        ones = Distribution(space, space.names, np.ones((2, 2, 2, 2)))
+        rel = enumerate_relation(ones, Min(), RelationKind.INDEPENDENCE)
+        assert len(rel) == 110 and is_graphoid(rel).holds
+        assert built() == 0
+        # iteration decodes each member once, and members reuses them
+        assert len(list(rel)) == len(rel) == built()
+        assert len(rel.members) == len(rel) == built()
+
+    def test_a_trial_without_counterexamples_builds_no_triplet(self, built):
+        # seed 0 relates only under luka's no-interactivity, which no claim
+        # reads while luka's independence is empty; seed 11's min
+        # no-interactivity is axiom-checked and holds all five axioms
+        luka, ni = LukasiewiczLike(), RelationKind.NON_INTERACTIVITY
+        for seed, (conj, kind) in ((0, (luka, ni)), (11, (Min(), ni))):
+            report = fuzz_properties(FuzzConfig(trials=1, seed=seed))
+            assert report.ok and not report.mined and built() == 0
+            dist = random_distribution(SPACE3, seed=seed)
+            assert len(enumerate_relation(dist, conj, kind)) == 2
+            assert not enumerate_relation(dist, luka, RelationKind.INDEPENDENCE)
+
+    def test_hand_built_relations_answer_reads_without_encoding(self):
+        # neither an invalid member nor names past the encoding stop the
+        # reads that need no encoding
+        wide = build_space([(f"V{i:02}", ("0", "1")) for i in range(32)])
+        for space, member in ((SPACE3, Triplet.of("X1", "X1")),
+                              (wide, Triplet.of(wide.names[:30], wide.names[30:]))):
+            rel = IndependenceRelation(space, frozenset({member}))
+            twin = IndependenceRelation(space, frozenset({member}))
+            assert len(rel) == 1 and member in rel and Triplet.of("X1", "X2") not in rel
+            assert rel == twin and hash(rel) == hash(twin) and rel != relation()
+            assert repr(rel) == "IndependenceRelation(1 triplets)"
+            with pytest.raises((BadTriplet, TooLarge)):
+                is_graphoid(rel)
+
+    def test_enumerated_relations_equal_their_hand_built_copies(self, two_peak):
+        kind = RelationKind.NON_INTERACTIVITY
+        for conj in (Min(), ProductLike()):
+            hand = IndependenceRelation(
+                two_peak.space, enumerate_relation(two_peak, conj, kind).members)
+            assert len(hand) == 6
+            # each read first on a relation whose members were never read
+            for first_read in (lambda rel: rel == hand, lambda rel: hand == rel,
+                               lambda rel: hash(rel) == hash(hand)):
+                rel = enumerate_relation(two_peak, conj, kind)
+                assert "members" not in vars(rel) and first_read(rel)
+                assert rel == hand and hand == rel and hash(rel) == hash(hand)
+                assert rel != IndependenceRelation(two_peak.space, frozenset())
+        empty = enumerate_relation(random_distribution(SPACE3, seed=1), Min(),
+                                   RelationKind.INDEPENDENCE)
+        assert empty == relation() and hash(empty) == hash(relation()) and len(empty) == 0
+
+
 class TestLevels:
     def test_two_peak_noninteractivity_is_semigraphoid_only(self, two_peak):
         for conj in (ProductLike(), Min()):

@@ -891,8 +891,9 @@ def blocked_table(space, blocks, combine, seed):
 def assert_encoded_as_hand_built(rel):
     """The encoding a relation carries equals the one derived from its
     members' names: names, mask rows and member order."""
-    names, rows, members = rel._encoding
-    hand_names, hand_rows, hand_members = IndependenceRelation(rel.space, rel.members)._encoding
+    (names, rows), members = rel._encoding, rel.sorted_members
+    hand = IndependenceRelation(rel.space, rel.members)
+    (hand_names, hand_rows), hand_members = hand._encoding, hand.sorted_members
     assert (names, members) == (hand_names, hand_members)
     assert members == tuple(sorted(rel.members, key=lambda t: t.sort_key)) == tuple(rel)
     assert rows.dtype == hand_rows.dtype == np.int64 and rows.shape == (len(rel), 3)
