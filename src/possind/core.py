@@ -308,10 +308,9 @@ class Triplet:
         return cls(frozenset(_as_names(a)), frozenset(_as_names(b)), frozenset(_as_names(c)))
 
     def validate(self, space: Space) -> None:
-        for part in (self.a, self.b, self.c):
-            for n in part:
-                if n not in space.names:
-                    raise BadTriplet(f"unknown variable {n!r}")
+        unknown = [n for part in (self.a, self.b, self.c) for n in part if n not in space.names]
+        if unknown:
+            raise BadTriplet(f"unknown variable {min(unknown)!r}")
         if not self.a or not self.b:
             raise BadTriplet("the first two parts of a triplet must be nonempty")
         if self.a & self.b or self.a & self.c or self.b & self.c:

@@ -9,18 +9,18 @@ semigraphoid satisfies the first four, a graphoid all five.
 The checks run on the relation's encoding: the (a, b, c) bitmasks of its
 members over their sorted names, as rows of an int64 array in sort_key
 order.  All instances of an axiom are produced at once by array
-operations: the splits of b or c, one popcount at a time; contraction's
-second premises by an equal-key join on (a, c); membership by binary
-search over codes of two bits per name, so a relation may name at most
-core.ENCODED_NAMES variables.  Any list of relations is checked in one
-pass: their rows are stacked, and each code and join key carries the
-relation's id in the bits above the code bits, so nothing matches across
-relations; where the ids would not fit in 63 bits, the list is halved.
-Only instances whose conclusion is missing become Counterexample
-objects.  Each relation's are listed by the first premise's rank, then
-by the split's position (fewest names first, then by sorted names) or
-the second premise's rank, as a loop over the members in sort_key order
-would find them.
+operations: the splits of each distinct b or c mask, one popcount at a
+time; contraction's second premises by an equal-key join on (a, c);
+membership by codes of two bits per name (so at most core.ENCODED_NAMES
+names), read from a table of ranks while the codes span at most
+_TABLE_PER_MEMBER per member, else by binary search.  Any list of
+relations is checked in one pass: their rows are stacked, and each code
+and join key carries the relation's id in the bits above the code bits,
+so nothing matches across relations; where the ids would not fit in 63
+bits, the list is halved.  Only instances whose conclusion is missing
+become Counterexample objects, each relation's listed by first premise,
+then by split (fewest names first, then by sorted names) or second
+premise, as a loop over the members in sort_key order would find them.
 
 The fuzzer draws random grid-valued distributions, induces independence
 and no-interactivity relations under the configured conjunctions, and
@@ -93,18 +93,18 @@ class AxiomReport:
 
 
 @functools.cache
-def _choices(width: int) -> tuple[np.ndarray, int]:
-    """(picks, S): the (width, S) 0/1 columns picking the S nonempty
-    subsets of `width` bits, fewest bits first, then in lexicographic
-    order of bit positions."""
+def _choices(width: int) -> np.ndarray:
+    """The (width, 2^width - 1) 0/1 columns picking the nonempty subsets
+    of `width` bits, fewest bits first, then in lexicographic order of
+    bit positions."""
     picks = [[int(i in k) for i in range(width)]
              for r in range(1, width + 1) for k in itertools.combinations(range(width), r)]
     picks = np.array(picks, dtype=np.int64).T
     picks.setflags(write=False)  # shared by every check of this width
-    return picks, picks.shape[1]
+    return picks
 
 
-_NONE = np.zeros(0, np.int64)
+_TABLE_PER_MEMBER = 64
 
 
 class _Rows:
@@ -112,7 +112,9 @@ class _Rows:
     over n names, each relation's in sort_key order and the relations in
     turn.  Column a carries each row's relation id rel in the bits above
     2n, so every code and join key built from a member's a does too, and
-    none matches across relations."""
+    none matches across relations.  Codes lie below the relation count
+    << 2n; while that span is at most _TABLE_PER_MEMBER codes per member,
+    a table indexed by code holds the ranks, else the sorted codes do."""
 
     def __init__(self, rows: np.ndarray, n: int, rel: np.ndarray):
         self.rows = rows
@@ -121,8 +123,13 @@ class _Rows:
         a, self.b, self.c = rows.T
         self.a = a | self.tag
         codes = self.code(self.a, self.b, self.c)
-        self.sorter = codes.argsort()
-        self.codes = codes[self.sorter]
+        span = int(rel[-1]) + 1 << 2 * n
+        self.table = np.full(span, -1) if span <= _TABLE_PER_MEMBER * len(rows) else None
+        if self.table is not None:
+            self.table[codes] = np.arange(len(rows))
+        else:
+            self.sorter = codes.argsort()
+            self.codes = codes[self.sorter]
 
     def code(self, a, b, c):
         """Two bits per name: in a or c, in b or c."""
@@ -135,7 +142,10 @@ class _Rows:
         return np.stack((low & ~high, high & ~low, low & high), axis=1)
 
     def rank_of(self, code) -> np.ndarray:
-        """Each coded triplet's rank among the members, -1 for a non-member."""
+        """Each coded triplet's rank among the members, -1 for a non-member:
+        one gather from the rank table where there is one, else a binary search."""
+        if self.table is not None:
+            return self.table[code]
         at = np.minimum(self.codes.searchsorted(code), len(self.codes) - 1)
         return np.where(self.codes[at] == code, self.sorter[at], -1)
 
@@ -143,19 +153,29 @@ class _Rows:
     def splits(self) -> dict:
         """{"b": (owner, kept, pos), "c": ...}: each nonempty submask `kept`
         of the b or c mask of member `owner`, pos numbering an owner's
-        submasks in _choices order.  Masks of one popcount share their
-        _choices."""
-        bits = self.rows.T[1:, :, None] >> np.arange(self.n) & 1
-        width = bits.sum(axis=2)
-        found = [(_NONE,) * 4]
-        for w in set(width.ravel().tolist()) - {0}:
-            part, owner = (width == w).nonzero()
-            picks, subsets = _choices(w)
-            kept = (1 << bits[part, owner].nonzero()[1].reshape(-1, w)) @ picks
-            found.append((part.repeat(subsets), owner.repeat(subsets), kept.ravel(),
-                          np.arange(kept.size) % subsets))
-        part, *columns = map(np.concatenate, zip(*found))
-        return {name: [column[part == i] for column in columns] for i, name in enumerate("bc")}
+        submasks in _choices order.  The submasks of each distinct mask are
+        found once, those of one popcount from one _choices, and gathered."""
+        masks = self.rows.T[1:].ravel()
+        order = masks.argsort()
+        masks = masks[order]
+        distinct = np.concatenate(([True], masks[1:] != masks[:-1]))
+        bits = masks[distinct][:, None] >> np.arange(self.n) & 1
+        width = bits.sum(axis=1)
+        by_width = width.argsort()  # the distinct masks, grouped by popcount
+        inverse = np.empty_like(order)
+        inverse[order] = by_width.argsort()[distinct.cumsum() - 1]
+        width, count = width[by_width], (1 << width[by_width]) - 1
+        places, subs, lo = bits[by_width].nonzero()[1], [], 0
+        for w, k in enumerate(np.bincount(width).tolist()):
+            if w and k:  # the k masks of popcount w, one slice of places
+                subs.append(((1 << places[lo:lo + k * w].reshape(k, w)) @ _choices(w)).ravel())
+                lo += k * w
+        many = count[inverse]  # each row's b mask, then each row's c mask
+        ends, at = many.cumsum(), np.arange(len(many)).repeat(many)
+        pos = np.arange(len(at)) - (ends - many)[at]
+        kept = np.concatenate(subs)[(count.cumsum() - count)[inverse][at] + pos]
+        owner, cut = at % len(self.rows), ends[len(self.rows) - 1]
+        return dict(b=(owner[:cut], kept[:cut], pos[:cut]), c=(owner[cut:], kept[cut:], pos[cut:]))
 
 
 # Each check returns every instance of its axiom as the columns (first

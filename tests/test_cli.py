@@ -410,6 +410,29 @@ class TestErrorsAndDeterminism:
             "marginalize", "--dist", one_sided_file, "--keep", "X9",
         ]) == 2
 
+    def test_unknown_variables_are_named_alike_under_any_hash_seed(self, one_sided_file):
+        # the first unknown name in sorted order, not in set iteration order
+        hand_built = (
+            "from possind import IndependenceRelation, Triplet, build_space, is_graphoid\n"
+            "space = build_space([('X1', ('0', '1')), ('X2', ('0', '1'))])\n"
+            "try:\n"
+            "    is_graphoid(IndependenceRelation(space, frozenset(\n"
+            "        {Triplet.of(('Q', 'R', 'S'), 'X2')})))\n"
+            "except Exception as error:\n"
+            "    print(type(error).__name__, error)\n")
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(Path(possind.__file__).parents[1]),
+                       PYTHONHASHSEED=seed)
+            run = subprocess.run(
+                [sys.executable, "-m", "possind.cli", "independent", "--dist", one_sided_file,
+                 "--a", "Q,R,S", "--b", "X2", "--conj", "min", "--relation", "independence"],
+                capture_output=True, text=True, env=env, timeout=60)
+            assert (run.returncode, run.stdout) == (2, "")
+            assert run.stderr == "error: unknown variable 'Q'\n"
+            run = subprocess.run([sys.executable, "-c", hand_built],
+                                 capture_output=True, text=True, env=env, timeout=60)
+            assert run.stdout == "BadTriplet unknown variable 'Q'\n"
+
     def test_invalid_document_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"variables": "nope"}')

@@ -255,17 +255,28 @@ class TestAgainstReference:
                 relation(Triplet.of("X1", "X3", "X2")), some4, wide[0], empty, wide[1], wide[2],
                 symmetric_closure(Triplet.of("X1", ("X2", "X3"), ())), empty, wide[3],
                 IndependenceRelation(SPACE4, frozenset(TRIPLETS4))]
-        passes = []
+        passes, tables = [], []
         rows = graphoid._Rows
-        monkeypatch.setattr(graphoid, "_Rows", lambda members, n, rel: (
-            passes.append((int(rel.max()) + 1, n)), rows(members, n, rel))[1])
+
+        def counted(members, n, rel):
+            m = rows(members, n, rel)
+            passes.append((int(rel.max()) + 1, n))
+            tables.append(m.table is not None)
+            return m
+
+        monkeypatch.setattr(graphoid, "_Rows", counted)
         for axioms in (GRAPHOID_AXIOMS, SEMIGRAPHOID_AXIOMS, ("intersection", "symmetry")):
             passes.clear()
+            tables.clear()
             reports = graphoid._check_axioms(rels, axioms)
             # (non-empty relations, n) of each pass: the 13 relations halve
             # into runs of 3, 1, 2, 3, 2 and 2, empty ones included
             assert passes == [(2, 2), (1, 3), (2, 31), (2, 31), (1, 3), (2, 31)]
             assert all(2 * n + (count - 1).bit_length() <= 63 for count, n in passes)
+            # the 2- and 3-name passes look members up in the rank table, the
+            # first 3-name pass with its one member at the bound of 64 codes;
+            # the 31-name passes search the sorted codes
+            assert tables == [True, True, False, False, True, False]
             assert reports == [reference_report(rel, axioms) for rel in rels]
             assert all(list(report.verdicts) == list(axioms) for report in reports)
             assert reports == [graphoid._check_axioms((rel,), axioms)[0] for rel in rels]
@@ -286,6 +297,48 @@ class TestAgainstReference:
         st.sampled_from(RelationKind)))
     def test_sorted_members_follow_sort_key(self, rel):
         assert rel.sorted_members == tuple(sorted(rel.members, key=lambda t: t.sort_key))
+
+
+def submasks(mask):
+    """The nonempty submasks of mask, fewest bits first, then by bit positions."""
+    bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    return [sum(1 << i for i in k)
+            for r in range(1, len(bits) + 1) for k in itertools.combinations(bits, r)]
+
+
+class TestSplits:
+    def assert_each_submask_listed_once(self, *rels):
+        encodings = [rel._encoding for rel in rels]
+        rows = np.concatenate([block for _, block in encodings])
+        m = graphoid._Rows(rows, max(len(names) for names, _ in encodings),
+                           np.arange(len(rels)).repeat([len(rel) for rel in rels]))
+        for column, part in enumerate("bc", 1):
+            listed = {}
+            for owner, kept, pos in zip(*(values.tolist() for values in m.splits[part])):
+                listed.setdefault(owner, []).append((pos, kept))
+            # sorted by pos, each owner's list is its submasks numbered from 0
+            assert {owner: sorted(found) for owner, found in listed.items()} == {
+                i: list(enumerate(submasks(int(row[column]))))
+                for i, row in enumerate(rows) if row[column]}
+
+    def test_one_member(self):
+        self.assert_each_submask_listed_once(relation(Triplet.of("X1", ("X2", "X3"))))
+        self.assert_each_submask_listed_once(relation(Triplet.of("X1", "X2", "X3")))
+
+    def test_rows_sharing_masks_and_empty_conditions(self):
+        full = IndependenceRelation(SPACE4, frozenset(TRIPLETS4))
+        assert sum(not t.c for t in full) > 1 and len({t.b for t in full}) < len(full)
+        self.assert_each_submask_listed_once(full)
+        self.assert_each_submask_listed_once(relation(Triplet.of("X1", ("X2", "X3"))), full)
+
+    def test_thirty_one_names(self):
+        space = build_space([(f"V{i:02}", ("0", "1")) for i in range(31)])
+        v = space.names
+        wide = IndependenceRelation(space, frozenset({
+            Triplet.of(v[:23], v[23:27], v[27:]), Triplet.of(v[27:], v[23:27], v[:4]),
+            Triplet.of(v[:29], v[29], v[30]), Triplet.of(v[4:27], v[27:], ())}))
+        assert len(wide._encoding[0]) == 31
+        self.assert_each_submask_listed_once(wide)
 
 
 @pytest.fixture

@@ -801,8 +801,8 @@ class TestPlan:
     @pytest.mark.parametrize("width", [1, 3])
     def test_axiom_choices_are_read_only(self, width):
         # like the plans, shared by every axiom check of this width
-        picks, subsets = graphoid._choices(width)
-        assert picks.shape == (width, subsets) and not picks.flags.writeable
+        picks = graphoid._choices(width)
+        assert picks.shape == (width, 2 ** width - 1) and not picks.flags.writeable
 
 
 class TestBlocks:
