@@ -44,14 +44,13 @@ from .errors import BadTriplet, NotNormalised, ScopeMismatch, TooLarge, TooSmall
 #: Enumeration refuses spaces with more candidate triplets than this.
 RELATION_GUARD = 100_000
 
-#: Enumeration conditions at most this many cells at once, in whole units
-#: (see _row_tables); a larger unit takes a block of its own.
+#: A block of the enumeration gathers at most this many cells per side, in
+#: whole units (see _row_tables); a larger unit takes a block of its own.
 BLOCK_CELLS = 1 << 13
 
 #: Scopes whose frames have more cells than this are enumerated one triplet
-#: at a time: past it, computing every conditional on the scope's frame
-#: costs more than the per-triplet route, which reuses memoised
-#: conditionals on smaller frames and stops at the first failed side.
+#: at a time: past it, comparing every candidate on the scope's frame costs
+#: more than the per-triplet route, which stops at the first failed side.
 CROSSOVER_CELLS = 1 << 11
 
 #: Enumeration keeps the plans (_plan) of this many frame shapes.
@@ -303,9 +302,7 @@ def _row_tables(k: int):
     """Local (a, b, c) masks of the candidate triplets that span all of k
     bits, ordered by c and then a, and the index of each one's mirror
     (b, a, c) in that order.  A unit is the candidates with one c, so a
-    candidate's mirror is in its unit, and a unit's right-side
-    conditionals, a given c for each of its candidates a, are its pairs
-    c < t < all k bits, strict subsets."""
+    candidate's mirror is in its unit."""
     full = (1 << k) - 1
     c, a = np.divmod(np.arange(1 << 2 * k, dtype=np.int32), 1 << k)
     keep = ((a & c) == 0) & (a > 0) & ((a | c) != full)
@@ -315,35 +312,54 @@ def _row_tables(k: int):
     return np.stack([a, b, c], axis=1), index[c, b]
 
 
+def _extended(table: np.ndarray) -> np.ndarray:
+    """`table` with one more slot on each axis, holding the max over that
+    axis: the entry at the frame size on the axes outside a mask, and at a
+    frame value on the others, is that mask's lattice entry there."""
+    for axis in range(table.ndim):
+        table = np.concatenate([table, table.max(axis=axis, keepdims=True)], axis=axis)
+    return table
+
+
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(shape: tuple) -> tuple:
-    """Read-only (masks, groups) of tables of this shape, for both kinds:
-    the masks whose lattice entries the block route reads, in the order
-    enumerate_relation concatenates them, and per group of scopes whose
-    axes have the same frame sizes (candidates, route): its candidates'
-    (a, b, c) masks, scope by scope in _row_tables' order, and route None
-    past CROSSOVER_CELLS, else _block_route's."""
+    """Read-only (operands, groups) of tables of this shape, for both
+    kinds.  The block route's conditionals are residuum(*operands) over
+    the flat _extended table: every split x | g, x not empty, of every
+    scope of at most CROSSOVER_CELLS cells, on its own frame in C order.
+    Per group of scopes of two or more variables whose axes have the same
+    frame sizes, (candidates, route): its candidates' (a, b, c) masks,
+    scope by scope in _row_tables' order, and route None past
+    CROSSOVER_CELLS, else _block_route's."""
     n = len(shape)
-    groups = {}  # frame sizes of a scope's axes -> scope masks
-    for scope in range(1 << n):
-        sizes = tuple(size for i, size in enumerate(shape) if scope >> i & 1)
-        if len(sizes) >= 2:
-            groups.setdefault(sizes, []).append(scope)
-    # spread[q, x] is the mask of the axes of scope q that local mask x selects
-    spreads = {sizes: np.array([[1 << i for i in range(n) if scope >> i & 1] for scope in scopes])
-               @ (np.arange(1 << len(sizes))[:, None] >> np.arange(len(sizes)) & 1).T
-               for sizes, scopes in groups.items()}
-    blocked = [sizes for sizes in spreads if math.prod(sizes) <= CROSSOVER_CELLS]
-    masks = sorted({m for sizes in blocked for m in spreads[sizes].ravel().tolist()})
-    entry_cells = [math.prod(shape[i] for i in range(n) if m >> i & 1) for m in masks]
-    # intp, so that base + cells, the gather index of the marginals, is too:
-    # numpy gathers several times faster with intp indices than with int32
-    offset = np.zeros(1 << n, dtype=np.intp)
-    offset[masks] = np.cumsum([0, *entry_cells])[:-1]
-    return _read_only((tuple(masks), tuple(
-        (spread[:, local].reshape(-1, 3),
-         _block_route(sizes, offset[spread], local, mirror) if sizes in blocked else None)
-        for sizes, spread in spreads.items() for local, mirror in [_row_tables(len(sizes))])))
+    groups = {}  # frame sizes of a scope's axes -> the axes of each such scope
+    for scope in range(1, 1 << n):
+        axes = [i for i in range(n) if scope >> i & 1]
+        groups.setdefault(tuple(shape[i] for i in axes), []).append(axes)
+    blocked = [sizes for sizes in groups if math.prod(sizes) <= CROSSOVER_CELLS]
+    # C-order strides of the extended table, whose last entry is the top of the lattice
+    step = np.cumprod([1, *(size + 1 for size in shape[:0:-1])])[::-1]
+    top = math.prod(size + 1 for size in shape) - 1
+    operands, routes = [np.zeros((2, 0), np.intp)], []  # numpy gathers fastest with intp
+    at = np.zeros((1 << n, 1 << n), dtype=np.intp)  # [scope, g]: where split g of scope starts
+    # smaller scopes first, so that the splits a route reads are placed before it
+    for sizes, axes in sorted(groups.items(), key=lambda group: len(group[0])):
+        k, axes, begin = len(sizes), np.array(axes), sum(part.shape[1] for part in operands)
+        bits = np.arange(1 << k)[:, None] >> np.arange(k) & 1
+        spread = (1 << axes) @ bits.T  # [q, x]: the axes of scope q that local mask x selects
+        if sizes in blocked:
+            # [q, x]: the lattice entry of local mask x at each cell of scope q's frame
+            entry = top + (bits * step[axes][:, None]) @ (
+                np.indices(sizes).reshape(k, -1) - np.array(sizes)[:, None])
+            given, total = np.broadcast_arrays(entry[:, :-1], entry[:, -1:])
+            operands.append(np.stack([given, total]).reshape(2, -1))
+            at[spread[:, -1:], spread[:, :-1]] = begin + np.arange(
+                0, given.size, given.shape[2]).reshape(given.shape[:2])
+        if k >= 2:
+            local, mirror = _row_tables(k)
+            routes.append((spread[:, local].reshape(-1, 3), _block_route(
+                sizes, spread, bits, begin, at, local, mirror) if sizes in blocked else None))
+    return _read_only((np.concatenate(operands, axis=1), tuple(routes)))
 
 
 def _read_only(tables: tuple) -> tuple:
@@ -356,82 +372,65 @@ def _read_only(tables: tuple) -> tuple:
     return tables
 
 
-def _block_route(sizes, base, local, mirror) -> tuple:
-    """(base, cells, (given, total), left, mirror, blocks) of the scopes
-    whose axes have frame sizes `sizes`.  Marginal row (q << k) + x, the
-    lattice entry of local mask x of scope q broadcast onto its frame, is
-    the concatenation at base[q, x] + cells[x].  Conditional row r
-    conditions marginal row total[r] on given[r]: first the left sides,
-    (q << k) + u given u of scope q, then one row per candidate, a given
-    c.  A block (lo, hi, start, stop) conditions rows lo:hi for
-    candidates start:stop, whole units of at most BLOCK_CELLS cells of
-    rows or one larger unit; the first also conditions the left sides.
-    So candidates start:stop own the block's last stop - start rows.
-    Per candidate, left holds its two left-side rows, given b | c and
-    given c, and mirror the position of its mirror (b, a, c) within its
-    block.  `local, mirror` is _row_tables(k)."""
+def _block_route(sizes, spread, bits, offset, at, local, mirror) -> tuple:
+    """(region, cell_index, left, right, sub, mirror, blocks) of the scopes
+    with frame sizes `sizes`; spread[q, x] is the axes of scope q that
+    local mask x (bits[x]) selects, and at[scope, g] where split g of
+    scope starts.  Split g of scope q is row q * (2^k - 1) + g of
+    `region`, which starts at `offset`.  Per candidate (a, b, c): left
+    holds its rows given b | c and given c; its right side, a given c,
+    starts at `right`, and cell_index[sub], sub being its local a | c,
+    places it on its frame; mirror is where (b, a, c) is in its block.
+    A block (start, stop) is whole units of at most BLOCK_CELLS cells of
+    right sides, or one larger unit.  `local, mirror` is _row_tables(k)."""
     k, cells, n = len(sizes), math.prod(sizes), len(local)
-    q = np.arange(len(base), dtype=np.int32)[:, None]
-    left_rows = len(base) << k
-    operands = np.concatenate([
-        [np.arange(left_rows, dtype=np.int32), np.repeat((q << k) + (1 << k) - 1, 1 << k)],
-        ((q << k) + np.stack([local[:, 2], local[:, 0] | local[:, 2]])[:, None]).reshape(2, -1),
-    ], axis=1)
-    ends = ((q * n) + np.append(np.flatnonzero(np.diff(local[:, 2])) + 1, n)).ravel().tolist()
+    q = np.arange(len(spread), dtype=np.int32)[:, None]
+    a, b, c = local.T
+    left = (q * ((1 << k) - 1))[..., None] + np.stack([b | c, c], 1)
+    ends = ((q * n) + np.append(np.flatnonzero(np.diff(c)) + 1, n)).ravel().tolist()
     edges = [0]
     for begin, end in zip([0, *ends], ends):  # close a block before a unit that overfills it
         if (end - edges[-1]) * cells > BLOCK_CELLS and begin > edges[-1]:
             edges.append(begin)
     edges.append(ends[-1])
-    blocks = tuple((left_rows + start if start else 0, left_rows + stop, start, stop)
-                   for start, stop in zip(edges, edges[1:]))
-    left = (q << k)[..., None] + np.stack([local[:, 1] | local[:, 2], local[:, 2]], 1)
     mirror = ((q * n) + mirror).ravel() - np.repeat(np.array(edges[:-1], np.int32), np.diff(edges))
     # C-order strides of each local mask's entry, 0 on the axes it drops
-    bits = np.arange(1 << k)[:, None] >> np.arange(k) & 1
     kept = np.where(bits, sizes, 1)
     strides = np.cumprod(kept[:, ::-1], axis=1)[:, ::-1] // kept * bits
     cell_index = strides @ np.indices(sizes).reshape(k, -1)
     # the smallest type that holds a cell index: the plan keeps 2^k * cells of them
-    return (base[..., None], cell_index.astype(np.min_scalar_type(cells - 1)), operands,
-            left.reshape(-1, 2), mirror, blocks)
+    return (slice(offset, offset + len(spread) * ((1 << k) - 1) * cells),
+            cell_index.astype(np.min_scalar_type(cells - 1)), left.reshape(-1, 2),
+            at[spread[:, a | c], spread[:, c]].ravel(), np.tile(a | c, len(spread)), mirror,
+            tuple(zip(edges, edges[1:])))
 
 
-def _block_members(conjs, kinds, eps, group, flat, found) -> None:
+def _block_members(conjs, kinds, eps, group, conds, found) -> None:
     """Append to found[i][j] the (a, b, c) mask rows of the members of kind
     kinds[j] under conjs[i] among the candidates of `group`, a block
-    group of _plan(dist.table.shape); `flat` concatenates the lattice
-    entries of the plan's masks.
-
-    The candidates are evaluated block by block on marginals broadcast
-    onto the scope's frame: the operand rows of a block are gathered
-    once, and each conjunction makes one residuum call on them that
-    conditions every pair its candidates use, the first block's also
-    every left side, for all kinds at once.  Each kind then makes one
-    comparison per candidate: independence of a given b | c against a
-    given c, and the second side of (a; b | c) is the first of its mirror
-    (b; a | c); no-interactivity of a | b given c against a given c
-    conjoined with b given c, the mirror's own conditional."""
-    candidates, (base, cells, (given, total), left, mirror, blocks) = group
+    group of _plan(dist.table.shape), whose conditionals under conjs[i]
+    are conds[i].  Blocks only gather and compare: the gather index of
+    the candidates' right sides, a given c, is built once per block.
+    Each kind then makes one comparison per candidate: independence of a
+    given b | c against a given c, and the second side of (a; b | c) is
+    the first of its mirror (b; a | c); no-interactivity of a | b given c
+    against a given c conjoined with b given c, the mirror's right side."""
+    candidates, (region, cell_index, left, right, sub, mirror, blocks) = group
     # rows are gathered with take, which dispatches faster than indexing
-    marginals = flat[(base + cells).reshape(-1, cells.shape[1])]
-    lhs = [None] * len(conjs)
-    for lo, hi, start, stop in blocks:
-        operands = marginals.take(given[lo:hi], 0), marginals.take(total[lo:hi], 0)
+    lefts = [cond[region].reshape(-1, cell_index.shape[1]) for cond in conds]
+    for start, stop in blocks:
+        index = right[start:stop, None] + cell_index.take(sub[start:stop], 0)
         pair = mirror[start:stop]
         for i, conj in enumerate(conjs):
-            out = _checked(conj._residuum(*operands))
-            if lo == 0:
-                lhs[i] = out
-            own = out[start - stop:]
+            own = conds[i].take(index)
             for members, kind in zip(found[i], kinds):
                 # both sides are range-checked, so no NaN reaches a comparison
                 if kind is RelationKind.INDEPENDENCE:
-                    ok = np.abs(lhs[i].take(left[start:stop, 0], 0) - own).max(axis=1) <= eps
+                    ok = (np.abs(lefts[i].take(left[start:stop, 0], 0) - own) <= eps).all(axis=1)
                     ok &= ok.take(pair)
                 else:
                     rhs = _checked(conj._conjoin(own, own.take(pair, 0)))
-                    ok = np.abs(lhs[i].take(left[start:stop, 1], 0) - rhs).max(axis=1) <= eps
+                    ok = (np.abs(lefts[i].take(left[start:stop, 1], 0) - rhs) <= eps).all(axis=1)
                 members.append(candidates[start:stop][ok])
 
 
@@ -443,25 +442,24 @@ def enumerate_relation(
     Candidates are grouped by their scope a|b|c and evaluated on that
     scope's frame, with the comparisons of in_independence and
     in_noninteractivity: scopes whose frames have at most CROSSOVER_CELLS
-    cells in blocks (see _block_route), on marginals gathered from one
-    concatenation of the lattice entries they read, larger ones one
-    triplet at a time.  This is _enumerate_relations of the one
-    conjunction and kind."""
+    cells in blocks (see _block_route), on conditionals computed once per
+    table, larger ones one triplet at a time.  This is
+    _enumerate_relations of the one conjunction and kind."""
     return _enumerate_relations(dist, (conj,), (kind,), eps)[0][0]
 
 
 def _enumerate_relations(dist, conjs, kinds, eps=EPS) -> tuple:
     """Per conjunction of `conjs`, enumerate_relation of each kind of
-    `kinds`, in one pass over the table: the lattice entries are
-    concatenated once, and each block's operand rows are gathered once
-    and conditioned once per conjunction for all kinds (_block_members).
-    The scopes past CROSSOVER_CELLS are enumerated one triplet at a
-    time, stopping at the first failed side, one conjunction after the
-    other: each conjunction's conditionals are kept in a dict shared by
-    its kinds and freed before the next conjunction's.  Each relation
-    leaves holding only its encoding, built without a Triplet by
-    core._encode from its members' mask rows over dist.scope and the one
-    set of mask tables (core._mask_tables) all relations of the call share."""
+    `kinds`, in one pass over the table: each conjunction makes one
+    residuum call, on marginals read off one _extended table, for every
+    conditional the blocks read (_plan, _block_members).  The scopes past
+    CROSSOVER_CELLS are enumerated one triplet at a time, stopping at the
+    first failed side, one conjunction after the other: each
+    conjunction's conditionals are kept in a dict shared by its kinds and
+    freed before the next conjunction's.  Each relation leaves holding
+    only its encoding, built without a Triplet by core._encode from its
+    members' mask rows over dist.scope and the one set of mask tables
+    (core._mask_tables) all relations of the call share."""
     if not dist.normalised:
         raise NotNormalised("relation enumeration needs a normalised distribution")
     if len(dist.scope) < 2:
@@ -469,12 +467,14 @@ def _enumerate_relations(dist, conjs, kinds, eps=EPS) -> tuple:
     _check_relation_guard(len(dist.scope))
     check_eps(eps)
     kinds = tuple(map(RelationKind, kinds))
-    masks, groups = _plan(dist.table.shape)
-    flat = np.concatenate([dist._marginal(m).ravel() for m in masks]) if masks else None
+    operands, groups = _plan(dist.table.shape)
     found = [[[] for _ in kinds] for _ in conjs]
-    for group in groups:
-        if group[1] is not None:
-            _block_members(conjs, kinds, eps, group, flat, found)
+    blocked = [group for group in groups if group[1] is not None]
+    if blocked:  # a table wholly past the crossover needs no extended table
+        given, total = _extended(dist.table).take(operands)
+        conds = [_checked(conj._residuum(given, total)) for conj in conjs]
+        for group in blocked:
+            _block_members(conjs, kinds, eps, group, conds, found)
     for conj, rows in zip(conjs, found):
         memo = {}  # this conjunction's conditionals, for all its one-triplet scopes and kinds
         for candidates, route in groups:

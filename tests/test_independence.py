@@ -1,7 +1,7 @@
 """Conditioning, membership tests, characterizations and the constructor."""
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -608,18 +608,21 @@ class TestRoutesAgree:
 
     @pytest.mark.parametrize("kind", list(RelationKind), ids=lambda k: k.value)
     def test_groups_past_the_crossover_keep_only_their_candidate_rows(self, kind):
-        masks, groups = independence._plan((13,) * 3)
+        operands, groups = independence._plan((13,) * 3)
         assert [route is None for _, route in groups] == [False, True]
-        # the block route reads the lattice entries of the pair scopes only
-        assert masks == (0, 1, 2, 3, 4, 5, 6)
-        # the pair route holds, per candidate of scope q, the rows (q << 2) + u of
-        # its two left sides, given u = b | c and given u = c, and the position of
+        # the block route reads the lattice entries of the pair scopes only: an
+        # entry of the extended table drops the axes where it is at the frame size
+        coords = np.unravel_index(operands, (14,) * 3)
+        read = sum((coord < 13) << axis for axis, coord in enumerate(coords))
+        assert sorted(set(read.ravel().tolist())) == [0, 1, 2, 3, 4, 5, 6]
+        # the pair route holds, per candidate of scope q, the rows 3q + g of
+        # its two left sides, given g = b | c and given g = c, and the position of
         # its mirror (b ; a | c) in its block: all six candidates share one block
         candidates, route = groups[0]
-        left, mirror = route[3:5]
+        left, mirror = route[2], route[5]
         assert candidates.tolist() == [[1, 2, 0], [2, 1, 0], [1, 4, 0], [4, 1, 0],
                                        [2, 4, 0], [4, 2, 0]]
-        assert left.tolist() == [[2, 0], [1, 0], [6, 4], [5, 4], [10, 8], [9, 8]]
+        assert left.tolist() == [[2, 0], [1, 0], [5, 3], [4, 3], [8, 6], [7, 6]]
         assert mirror.tolist() == [1, 0, 3, 2, 5, 4]
         # each kind's left side is one of the two: (X1 ; X2) conditions on {X2} or on {}
         (_, given), *_ = independence._side_pairs(kind, 1, 2, 0)[0]
@@ -794,9 +797,11 @@ class TestPlan:
 
     @pytest.mark.parametrize("shape", [(2, 2, 2), (13, 13, 13)], ids=["blocks", "one-by-one"])
     def test_plans_are_read_only(self, shape):
-        # plans are shared by every call on tables of one shape
-        arrays = list(_arrays(independence._plan(shape)))
-        assert arrays and not any(array.flags.writeable for array in arrays)
+        # plans are shared by every call on tables of one shape; both shapes
+        # have pair scopes on the block route, so both plan conditionals
+        operands, groups = independence._plan(shape)
+        arrays = list(_arrays((operands, groups)))
+        assert operands.size and not any(array.flags.writeable for array in arrays)
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_axiom_choices_are_read_only(self, width):
@@ -922,6 +927,65 @@ class TestEncoding:
                         used.add((space, len(rel._encoding[0])))
         # empty relations, and relations over part of the scope and over all of it
         assert all({0, 4} < {n for over, n in used if over == space} for space in SORTED_APART)
+
+
+@dataclass(frozen=True)
+class Counting(Conjunction):
+    """A conjunction that answers as `inner` and records the operand shape
+    of each residuum call."""
+
+    inner: Conjunction
+    calls: list = field(default_factory=list, compare=False)
+
+    def _conjoin(self, aa, bb):
+        return self.inner._conjoin(aa, bb)
+
+    def _residuum(self, aa, bb):
+        self.calls.append(np.shape(aa))
+        return self.inner._residuum(aa, bb)
+
+    def spec_string(self) -> str:
+        return self.inner.spec_string()
+
+
+class TestConditionOnce:
+    @pytest.mark.parametrize("shape", [(2,) * 3, (2,) * 6, (2, 3, 2, 3)],
+                             ids=["2x3", "2x6", "2323"])
+    def test_one_residuum_call_per_conjunction(self, shape, block_cells):
+        # every scope of these tables takes the block route, so each
+        # conjunction conditions every split x | g of every scope, x not
+        # empty, once on the scope's frame, whatever the block size
+        space = build_space([(f"X{i + 1}", [str(v) for v in range(f)])
+                             for i, f in enumerate(shape)])
+        dist = Distribution(space, space.names, _grid_table(shape, 0))
+        kinds = tuple(RelationKind)
+        splits = sum((2 ** bin(scope).count("1") - 1)
+                     * int(np.prod([f for i, f in enumerate(shape) if scope >> i & 1]))
+                     for scope in range(1, 1 << len(shape)))
+        default = independence.BLOCK_CELLS
+        for cells in (1, 64, default):
+            block_cells(cells)
+            assert all(route is not None for _, route in independence._plan(shape)[1])
+            counting = tuple(Counting(conj) for conj in ROUTE_FAMILIES)
+            relations = independence._enumerate_relations(dist, counting, kinds)
+            assert [conj.calls for conj in counting] == [[(splits,)]] * len(counting)
+            assert relations == independence._enumerate_relations(dist, ROUTE_FAMILIES, kinds)
+
+    def test_extended_table_holds_every_lattice_entry(self):
+        tables = mixed_tables() + [(space, blocked_table(space, ((0, 2), (1, 3)), np.multiply, 0))
+                                   for space in SORTED_APART]
+        assert any(1 in table.shape for _, table in tables)  # a one-value frame
+        for space, table in tables:
+            dist = Distribution(space, space.names, table)
+            extended = independence._extended(dist.table)
+            assert extended.shape == tuple(f + 1 for f in table.shape)
+            for mask in range(1 << table.ndim):
+                # the frame size indexes the slot that holds the max over its axis
+                entry = extended[tuple(slice(f) if mask >> i & 1 else slice(f, f + 1)
+                                       for i, f in enumerate(table.shape))]
+                marginal = dist._marginal(mask)
+                assert entry.shape == marginal.shape
+                assert entry.tobytes() == marginal.tobytes()
 
 
 class TestEpsValidation:
