@@ -213,14 +213,11 @@ class Distribution:
 
     def _marginal(self, mask: int) -> np.ndarray:
         """Lattice entry: the keepdims max-marginal onto `mask` (bit i is
-        scope[i]), taken from a one-larger superset."""
+        scope[i]), one reduction of the table over the axes outside it."""
         out = self._lattice.get(mask)
         if out is None:
-            missing = [i for i in range(len(self.scope)) if not mask >> i & 1]
-            # reduce one axis of a cached one-larger superset if there is one
-            axis = next((i for i in missing if mask | 1 << i in self._lattice), missing[0])
-            superset = self._marginal(mask | 1 << axis)
-            out = self._lattice[mask] = superset.max(axis=axis, keepdims=True)
+            outside = tuple(i for i in range(len(self.scope)) if not mask >> i & 1)
+            out = self._lattice[mask] = self.table.max(axis=outside, keepdims=True)
         return out
 
     def marginalize(self, keep) -> "Distribution":
@@ -393,12 +390,17 @@ class IndependenceRelation:
 def _mask_tables(order: tuple[str, ...], bitmasks) -> tuple:
     """(names, rank, moved): `order` sorted; and per bitmask of `bitmasks`
     over order, its rank among them by sorted names and its bits moved
-    onto names."""
-    names = sorted(order)
-    bits = [1 << order.index(n) for n in names]
-    picked = [[i for i, bit in enumerate(bits) if m & bit] for m in bitmasks]
-    rank = np.argsort(sorted(range(len(picked)), key=picked.__getitem__))
-    return names, rank, np.array([sum(1 << i for i in p) for p in picked], np.int64)
+    onto names.  A mask's rank sorts the positions of its names in
+    `names`, padded with -1 so that a prefix sorts first."""
+    names, width = sorted(order), np.arange(len(order))
+    # bits[m, i]: whether bitmask m holds names[i]; int64 even for no masks, as >> needs
+    bits = np.array(bitmasks, np.int64)[:, None] >> np.array(
+        [order.index(n) for n in names], np.int64) & 1
+    pos = np.sort(np.where(bits, width, len(names)), axis=1)
+    pos[pos == len(names)] = -1
+    # lexsort needs a key: with no names every mask is 0 and keeps its place
+    rank = np.argsort(np.lexsort(pos.T[::-1])) if names else np.arange(len(bits))
+    return names, rank, bits @ (1 << width)
 
 
 def _encode(tables: tuple, rows: np.ndarray) -> tuple:

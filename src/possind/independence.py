@@ -329,14 +329,20 @@ def _plan(shape: tuple) -> tuple:
     scope of at most CROSSOVER_CELLS cells, on its own frame in C order.
     Per group of scopes of two or more variables whose axes have the same
     frame sizes, (candidates, route): its candidates' (a, b, c) masks,
-    scope by scope in _row_tables' order, and route None past
-    CROSSOVER_CELLS, else _block_route's."""
+    scope by scope in _row_tables' order, and a route decided once from
+    the group's cell count: None past CROSSOVER_CELLS, else the block
+    route (region, cell_index, left, right, sub, mirror, blocks).  Split
+    g of the group's scope q is row q * (2^k - 1) + g of `region`.  Per
+    candidate (a, b, c): left holds its rows given b | c and given c; its
+    right side, a given c, starts at `right`, and cell_index[sub], sub
+    being its local a | c, places it on its frame; mirror is where
+    (b, a, c) is in its block.  A block (start, stop) is whole units of
+    at most BLOCK_CELLS cells of right sides, or one larger unit."""
     n = len(shape)
     groups = {}  # frame sizes of a scope's axes -> the axes of each such scope
     for scope in range(1, 1 << n):
         axes = [i for i in range(n) if scope >> i & 1]
         groups.setdefault(tuple(shape[i] for i in axes), []).append(axes)
-    blocked = [sizes for sizes in groups if math.prod(sizes) <= CROSSOVER_CELLS]
     # C-order strides of the extended table, whose last entry is the top of the lattice
     step = np.cumprod([1, *(size + 1 for size in shape[:0:-1])])[::-1]
     top = math.prod(size + 1 for size in shape) - 1
@@ -344,21 +350,42 @@ def _plan(shape: tuple) -> tuple:
     at = np.zeros((1 << n, 1 << n), dtype=np.intp)  # [scope, g]: where split g of scope starts
     # smaller scopes first, so that the splits a route reads are placed before it
     for sizes, axes in sorted(groups.items(), key=lambda group: len(group[0])):
-        k, axes, begin = len(sizes), np.array(axes), sum(part.shape[1] for part in operands)
+        k, cells, axes = len(sizes), math.prod(sizes), np.array(axes)
         bits = np.arange(1 << k)[:, None] >> np.arange(k) & 1
         spread = (1 << axes) @ bits.T  # [q, x]: the axes of scope q that local mask x selects
-        if sizes in blocked:
+        local, mirror = _row_tables(k)
+        route = None
+        if cells <= CROSSOVER_CELLS:
+            begin, cell = sum(part.shape[1] for part in operands), np.indices(sizes).reshape(k, -1)
             # [q, x]: the lattice entry of local mask x at each cell of scope q's frame
-            entry = top + (bits * step[axes][:, None]) @ (
-                np.indices(sizes).reshape(k, -1) - np.array(sizes)[:, None])
+            entry = top + (bits * step[axes][:, None]) @ (cell - np.array(sizes)[:, None])
             given, total = np.broadcast_arrays(entry[:, :-1], entry[:, -1:])
             operands.append(np.stack([given, total]).reshape(2, -1))
             at[spread[:, -1:], spread[:, :-1]] = begin + np.arange(
                 0, given.size, given.shape[2]).reshape(given.shape[:2])
+            if k >= 2:
+                a, b, c = local.T
+                q = np.arange(len(axes), dtype=np.int32)[:, None]
+                left = (q * ((1 << k) - 1))[..., None] + np.stack([b | c, c], 1)
+                ends = q * len(local) + np.append(np.flatnonzero(np.diff(c)) + 1, len(local))
+                edges, ends = [0], ends.ravel().tolist()
+                # close a block before a unit that overfills it
+                for unit, end in zip([0, *ends], ends):
+                    if (end - edges[-1]) * cells > BLOCK_CELLS and unit > edges[-1]:
+                        edges.append(unit)
+                edges.append(ends[-1])
+                mirror = (q * len(local) + mirror).ravel() - np.repeat(
+                    np.array(edges[:-1], np.int32), np.diff(edges))
+                # C-order strides of each local mask's entry, 0 on the axes it drops
+                kept = np.where(bits, sizes, 1)
+                strides = np.cumprod(kept[:, ::-1], axis=1)[:, ::-1] // kept * bits
+                # the smallest type that holds a cell index: the plan keeps 2^k * cells of them
+                cell_index = (strides @ cell).astype(np.min_scalar_type(cells - 1))
+                route = (slice(begin, begin + given.size), cell_index, left.reshape(-1, 2),
+                         at[spread[:, a | c], spread[:, c]].ravel(), np.tile(a | c, len(axes)),
+                         mirror, tuple(zip(edges, edges[1:])))
         if k >= 2:
-            local, mirror = _row_tables(k)
-            routes.append((spread[:, local].reshape(-1, 3), _block_route(
-                sizes, spread, bits, begin, at, local, mirror) if sizes in blocked else None))
+            routes.append((spread[:, local].reshape(-1, 3), route))
     return _read_only((np.concatenate(operands, axis=1), tuple(routes)))
 
 
@@ -370,39 +397,6 @@ def _read_only(tables: tuple) -> tuple:
         elif isinstance(table, tuple):
             _read_only(table)
     return tables
-
-
-def _block_route(sizes, spread, bits, offset, at, local, mirror) -> tuple:
-    """(region, cell_index, left, right, sub, mirror, blocks) of the scopes
-    with frame sizes `sizes`; spread[q, x] is the axes of scope q that
-    local mask x (bits[x]) selects, and at[scope, g] where split g of
-    scope starts.  Split g of scope q is row q * (2^k - 1) + g of
-    `region`, which starts at `offset`.  Per candidate (a, b, c): left
-    holds its rows given b | c and given c; its right side, a given c,
-    starts at `right`, and cell_index[sub], sub being its local a | c,
-    places it on its frame; mirror is where (b, a, c) is in its block.
-    A block (start, stop) is whole units of at most BLOCK_CELLS cells of
-    right sides, or one larger unit.  `local, mirror` is _row_tables(k)."""
-    k, cells, n = len(sizes), math.prod(sizes), len(local)
-    q = np.arange(len(spread), dtype=np.int32)[:, None]
-    a, b, c = local.T
-    left = (q * ((1 << k) - 1))[..., None] + np.stack([b | c, c], 1)
-    ends = ((q * n) + np.append(np.flatnonzero(np.diff(c)) + 1, n)).ravel().tolist()
-    edges = [0]
-    for begin, end in zip([0, *ends], ends):  # close a block before a unit that overfills it
-        if (end - edges[-1]) * cells > BLOCK_CELLS and begin > edges[-1]:
-            edges.append(begin)
-    edges.append(ends[-1])
-    mirror = ((q * n) + mirror).ravel() - np.repeat(np.array(edges[:-1], np.int32), np.diff(edges))
-    # C-order strides of each local mask's entry, 0 on the axes it drops
-    kept = np.where(bits, sizes, 1)
-    strides = np.cumprod(kept[:, ::-1], axis=1)[:, ::-1] // kept * bits
-    cell_index = strides @ np.indices(sizes).reshape(k, -1)
-    # the smallest type that holds a cell index: the plan keeps 2^k * cells of them
-    return (slice(offset, offset + len(spread) * ((1 << k) - 1) * cells),
-            cell_index.astype(np.min_scalar_type(cells - 1)), left.reshape(-1, 2),
-            at[spread[:, a | c], spread[:, c]].ravel(), np.tile(a | c, len(spread)), mirror,
-            tuple(zip(edges, edges[1:])))
 
 
 def _block_members(conjs, kinds, eps, group, conds, found) -> None:
@@ -442,7 +436,7 @@ def enumerate_relation(
     Candidates are grouped by their scope a|b|c and evaluated on that
     scope's frame, with the comparisons of in_independence and
     in_noninteractivity: scopes whose frames have at most CROSSOVER_CELLS
-    cells in blocks (see _block_route), on conditionals computed once per
+    cells in blocks (see _plan), on conditionals computed once per
     table, larger ones one triplet at a time.  This is
     _enumerate_relations of the one conjunction and kind."""
     return _enumerate_relations(dist, (conj,), (kind,), eps)[0][0]

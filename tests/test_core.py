@@ -237,6 +237,22 @@ class TestMarginalize:
     def test_normalisation_is_preserved(self, dist):
         assert dist.marginalize(("X2",)).normalised
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_a_lattice_entry_is_one_reduction_of_the_table(self, n):
+        # an entry depends only on the table and its mask, so computing one
+        # caches no other entry
+        space = build_space([(f"X{i + 1}", "012"[:2 + i % 2]) for i in range(n)])
+        table = np.random.default_rng(n).integers(0, 11, size=space.shape(space.names)) / 10
+        full = (1 << n) - 1
+        for mask in range(1 << n):
+            dist = Distribution(space, space.names, table)
+            entry = dist._marginal(mask)
+            assert set(dist._lattice) == {full, mask}
+            outside = tuple(i for i in range(n) if not mask >> i & 1)
+            assert entry.tobytes() == table.max(axis=outside, keepdims=True).tobytes()
+            assert entry.shape == tuple(f if mask >> i & 1 else 1
+                                        for i, f in enumerate(table.shape))
+
 
 class TestExtend:
     def test_marginal_extension_depends_only_on_original_scope(self, one_sided):

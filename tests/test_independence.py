@@ -1,5 +1,6 @@
 """Conditioning, membership tests, characterizations and the constructor."""
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -44,6 +45,7 @@ from possind import (
     random_distribution,
 )
 from possind import graphoid, independence
+from possind.core import _mask_tables
 from possind.independence import CROSSOVER_CELLS
 
 from conftest import SPACE3, distributions3, triplets3
@@ -803,6 +805,19 @@ class TestPlan:
         arrays = list(_arrays((operands, groups)))
         assert operands.size and not any(array.flags.writeable for array in arrays)
 
+    def test_the_route_is_decided_by_the_cell_count(self):
+        # a pair scope of exactly CROSSOVER_CELLS cells takes the block route,
+        # one cell more does not; single variables make no group
+        for shape, blocked in (((32, 64), True), ((3, 683), False)):
+            assert math.prod(shape) == CROSSOVER_CELLS + (not blocked)
+            (candidates, route), = independence._plan(shape)[1]
+            assert candidates.tolist() == [[1, 2, 0], [2, 1, 0]]
+            assert (route is not None) is blocked
+        # a single frame past the crossover has no route and no conditionals:
+        # the operands hold only the one split of the frame of 2
+        operands, groups = independence._plan((2049, 2))
+        assert [route for _, route in groups] == [None] and operands.shape == (2, 2)
+
     @pytest.mark.parametrize("width", [1, 3])
     def test_axiom_choices_are_read_only(self, width):
         # like the plans, shared by every axiom check of this width
@@ -927,6 +942,28 @@ class TestEncoding:
                         used.add((space, len(rel._encoding[0])))
         # empty relations, and relations over part of the scope and over all of it
         assert all({0, 4} < {n for over, n in used if over == space} for space in SORTED_APART)
+
+    def test_mask_tables_rank_masks_by_their_sorted_names(self):
+        # a mask ranks by the sorted tuple of its names, a prefix first, and
+        # its bits move onto the sorted names
+        rng = np.random.default_rng(0)
+        pool = ["X2", "X10", "b", "a", "B", "A", "X1", "x"]
+        orders = [tuple(rng.permutation(pool[:n])) for n in range(1, 9) for _ in range(3)]
+        cases = [(order, rng.permutation(1 << len(order)).tolist()) for order in orders]
+        cases += [(order, rng.choice(1 << len(order), 5, replace=False).tolist())
+                  for order in orders[6:]]
+        cases += [(space.names, range(1 << len(space))) for space in SORTED_APART]
+        wide = tuple(rng.permutation([f"V{i}" for i in range(31)]))
+        masks31 = rng.permutation(np.unique(rng.integers(0, 1 << 31, 200))).tolist()
+        cases += [(wide, masks31), ((), ())]
+        for order, bitmasks in cases:
+            names, rank, moved = _mask_tables(order, bitmasks)
+            picked = [tuple(sorted(n for i, n in enumerate(order) if m >> i & 1))
+                      for m in bitmasks]
+            assert names == sorted(order)
+            assert rank.tolist() == [sorted(picked).index(p) for p in picked]
+            assert moved.dtype == np.int64
+            assert moved.tolist() == [sum(1 << names.index(n) for n in p) for p in picked]
 
 
 @dataclass(frozen=True)
