@@ -296,7 +296,7 @@ def main(argv=None) -> int:
                 "timing_ms": int(round((time.perf_counter() - started) * 1000)),
             }
             write_json(report, args.json)
-    except (PossindError, ValueError, OSError) as exc:
+    except (PossindError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 1 if fields["verdict"] is False else 0

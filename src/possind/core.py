@@ -333,11 +333,15 @@ class IndependenceRelation:
 
     @classmethod
     def _encoded(cls, space: Space, tables, rows: np.ndarray) -> "IndependenceRelation":
-        """The relation of the valid triplets whose parts are the (M, 3) int64
-        `rows` of indices into `tables` (_mask_tables, or None if no rows)."""
+        """The relation of the distinct valid triplets whose parts are the (M, 3)
+        int64 `rows` of indices into `tables` (_mask_tables of the 2^n masks over
+        n <= 8 names, or None), sorted here by their parts' ranks packed n bits apart."""
         rel = cls.__new__(cls)
         rel.space = space
-        rel._encoding = _encode(tables, rows) if len(rows) else ((), rows)
+        rel._encoding = ((), rows)
+        if len(rows):
+            key = tables[1][rows] @ (1 << 2 * len(tables[0]), 1 << len(tables[0]), 1)
+            rel._encoding = _encode(tables, rows[key.argsort()])
         return rel
 
     def __contains__(self, t: Triplet) -> bool:
@@ -371,15 +375,17 @@ class IndependenceRelation:
     def _encoding(self) -> tuple[tuple[str, ...], np.ndarray]:
         """(names, rows): the sorted names the members use, and the (M, 3)
         int64 (a, b, c) bitmasks over them of the members in sort_key order.
-        TooLarge past ENCODED_NAMES names, then Triplet.validate's BadTriplet."""
+        TooLarge past ENCODED_NAMES names, then Triplet.validate's BadTriplet.
+        Sorted here by sort_key: past 2^21 parts, packed ranks would overflow."""
         index = {p: i for i, p in enumerate({p for t in self.members for p in (t.a, t.b, t.c)})}
         names = tuple(sorted(set().union(*index)))
         if len(names) > ENCODED_NAMES:
             raise TooLarge(f"the relation names {len(names)} variables; its encoding "
                            f"holds at most {ENCODED_NAMES}")
-        for t in sorted(self.members, key=lambda t: t.sort_key):
+        members = sorted(self.members, key=lambda t: t.sort_key)
+        for t in members:
             t.validate(self.space)
-        rows = [(index[t.a], index[t.b], index[t.c]) for t in self.members]
+        rows = [(index[t.a], index[t.b], index[t.c]) for t in members]
         return _encode(_mask_tables(names, masks(names, *index)),
                        np.array(rows, np.int64).reshape(-1, 3))
 
@@ -405,11 +411,11 @@ def _mask_tables(order: tuple[str, ...], bitmasks) -> tuple:
 
 def _encode(tables: tuple, rows: np.ndarray) -> tuple:
     """The _encoding (names, rows) of the triplets whose parts are the
-    (M, 3) `rows` of indices into `tables` (_mask_tables): sorted by the
-    parts' ranks, as sort_key sorts them, with masks over the sorted
-    names they use.  It builds no Triplet; triplets_from_masks decodes."""
-    names, rank, moved = tables
-    out = moved[rows[np.lexsort(rank[rows].T[::-1])]]
+    (M, 3) `rows` of indices into `tables` (_mask_tables), given in
+    sort_key order: masks over the sorted names they use, in that order.
+    It builds no Triplet; triplets_from_masks decodes."""
+    names, _, moved = tables
+    out = moved[rows]
     used = int(np.bitwise_or.reduce(out, axis=None))
     if used != (1 << len(names)) - 1:  # squeeze out the bits of names no member uses
         kept = [i for i in range(len(names)) if used >> i & 1]

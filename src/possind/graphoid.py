@@ -12,15 +12,17 @@ order.  All instances of an axiom are produced at once by array
 operations: the splits of each distinct b or c mask, one popcount at a
 time; contraction's second premises by an equal-key join on (a, c);
 membership by codes of two bits per name (so at most core.ENCODED_NAMES
-names), read from a table of ranks while the codes span at most
-_TABLE_PER_MEMBER per member, else by binary search.  Any list of
-relations is checked in one pass: their rows are stacked, and each code
-and join key carries the relation's id in the bits above the code bits,
-so nothing matches across relations; where the ids would not fit in 63
-bits, the list is halved.  Only instances whose conclusion is missing
-become Counterexample objects, each relation's listed by first premise,
-then by split (fewest names first, then by sorted names) or second
-premise, as a loop over the members in sort_key order would find them.
+names).  While the codes span at most _TABLE_PER_MEMBER per member,
+tables indexed by code, join key or mask hold the members' ranks, each
+key's count and which masks occur; else sorting and binary search stand
+in for them.  Any list of relations is checked in one pass: their rows
+are stacked, and each code and join key carries the relation's id in
+the bits above the code bits, so nothing matches across relations;
+where the ids would not fit in 63 bits, the list is halved.  Only
+instances whose conclusion is missing become Counterexample objects,
+each relation's listed by first premise, then by split (fewest names
+first, then by sorted names) or second premise, as a loop over the
+members in sort_key order would find them.
 
 The fuzzer draws random grid-valued distributions, induces independence
 and no-interactivity relations under the configured conjunctions, and
@@ -154,16 +156,19 @@ class _Rows:
         """{"b": (owner, kept, pos), "c": ...}: each nonempty submask `kept`
         of the b or c mask of member `owner`, pos numbering an owner's
         submasks in _choices order.  The submasks of each distinct mask are
-        found once, those of one popcount from one _choices, and gathered."""
+        found once, those of one popcount from one _choices, and gathered.
+        With a rank table, which bounds 2^n, a presence table finds the masks."""
         masks = self.rows.T[1:].ravel()
-        order = masks.argsort()
-        masks = masks[order]
-        distinct = np.concatenate(([True], masks[1:] != masks[:-1]))
-        bits = masks[distinct][:, None] >> np.arange(self.n) & 1
+        if self.table is not None:
+            present = np.zeros(1 << self.n, bool)
+            present[masks] = True
+            distinct, slot = present.nonzero()[0], (present.cumsum() - 1)[masks]
+        else:
+            distinct, slot = np.unique(masks, return_inverse=True)
+        bits = distinct[:, None] >> np.arange(self.n) & 1
         width = bits.sum(axis=1)
         by_width = width.argsort()  # the distinct masks, grouped by popcount
-        inverse = np.empty_like(order)
-        inverse[order] = by_width.argsort()[distinct.cumsum() - 1]
+        inverse = by_width.argsort()[slot]
         width, count = width[by_width], (1 << width[by_width]) - 1
         places, subs, lo = bits[by_width].nonzero()[1], [], 0
         for w, k in enumerate(np.bincount(width).tolist()):
@@ -204,10 +209,15 @@ def _contraction(m: _Rows):
     # of each member's (a, b ∪ d) with the members' (a, c)
     keys = m.a | m.c << m.n
     order = keys.argsort()
-    keys = keys[order]
     wanted = m.a | (m.b | m.c) << m.n
-    lo = keys.searchsorted(wanted, "left")
-    count = keys.searchsorted(wanted, "right") - lo
+    if m.table is not None:  # the keys lie below the codes' span: count them per key
+        per_key = np.bincount(keys, minlength=len(m.table))
+        count = per_key[wanted]
+        lo = per_key.cumsum()[wanted] - count
+    else:
+        keys = keys[order]
+        lo = keys.searchsorted(wanted, "left")
+        count = keys.searchsorted(wanted, "right") - lo
     first = np.arange(len(m.a)).repeat(count)
     second = order[(lo - count.cumsum() + count).repeat(count) + np.arange(len(first))]
     return first, second, second, m.code(m.a[first], m.b[first] | m.b[second], m.c[first])

@@ -410,7 +410,7 @@ def _block_members(conjs, kinds, eps, group, conds, found) -> None:
     the first of its mirror (b; a | c); no-interactivity of a | b given c
     against a given c conjoined with b given c, the mirror's right side."""
     candidates, (region, cell_index, left, right, sub, mirror, blocks) = group
-    # rows are gathered with take, which dispatches faster than indexing
+    # take dispatches faster than indexing here, though it copies the plan's read-only indices
     lefts = [cond[region].reshape(-1, cell_index.shape[1]) for cond in conds]
     for start, stop in blocks:
         index = right[start:stop, None] + cell_index.take(sub[start:stop], 0)
@@ -465,7 +465,8 @@ def _enumerate_relations(dist, conjs, kinds, eps=EPS) -> tuple:
     found = [[[] for _ in kinds] for _ in conjs]
     blocked = [group for group in groups if group[1] is not None]
     if blocked:  # a table wholly past the crossover needs no extended table
-        given, total = _extended(dist.table).take(operands)
+        # indexing, not take: take copies an index that is not writeable, as the plan's are
+        given, total = _extended(dist.table).ravel()[operands]
         conds = [_checked(conj._residuum(given, total)) for conj in conjs]
         for group in blocked:
             _block_members(conjs, kinds, eps, group, conds, found)

@@ -494,6 +494,19 @@ class TestErrorsAndDeterminism:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("verb", [["enumerate"], ["axioms", "--level", "graphoid"]],
+                             ids=["enumerate", "axioms"])
+    def test_out_of_memory_exits_two(self, one_sided_file, monkeypatch, capsys, verb):
+        # numpy raises a MemoryError subclass; nothing large is allocated here
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli, "enumerate_relation", exhausted)
+        assert main([*verb, "--dist", one_sided_file, "--conj", "min",
+                     "--relation", "independence"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: Unable to allocate 745. GiB for an array\n"
+
     def test_deeply_nested_document_exits_two(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200000 + "]" * 200000)

@@ -177,13 +177,26 @@ relations4 = st.frozensets(st.sampled_from(TRIPLETS4)).flatmap(
 ).map(lambda members: IndependenceRelation(SPACE4, members))
 
 
+def both_sides(check):
+    """[check() as _Rows' rule decides, check() with every pass searching
+    the sorted codes]: with no member-count allowance there is no table."""
+    results = [check()]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphoid, "_TABLE_PER_MEMBER", 0)
+        results.append(check())
+    return results
+
+
 def assert_reports_equal_the_reference(rel):
-    """Every report of the relation, counterexample order included."""
-    for axioms, report in (
-        (GRAPHOID_AXIOMS, is_graphoid(rel)),
-        (SEMIGRAPHOID_AXIOMS, is_semigraphoid(rel)),
-        *(((axiom,), check_axiom(rel, axiom)) for axiom in AXIOMS),
-    ):
+    """Every report of the relation, counterexample order included, on
+    both sides of _Rows' rule."""
+    def reports():
+        return [(GRAPHOID_AXIOMS, is_graphoid(rel)), (SEMIGRAPHOID_AXIOMS, is_semigraphoid(rel)),
+                *(((axiom,), check_axiom(rel, axiom)) for axiom in AXIOMS)]
+
+    default, searched = both_sides(reports)
+    assert default == searched
+    for axioms, report in default:
         assert report == reference_report(rel, axioms)
         assert list(report.verdicts) == list(axioms)
 
@@ -203,7 +216,8 @@ class TestAgainstReference:
             for conj in (Min(), ProductLike(), LukasiewiczLike()):
                 for kind in RelationKind:
                     rel = enumerate_relation(dist, conj, kind)
-                    assert is_graphoid(rel) == reference_report(rel, GRAPHOID_AXIOMS)
+                    assert both_sides(lambda: is_graphoid(rel)) == [
+                        reference_report(rel, GRAPHOID_AXIOMS)] * 2
 
     def test_five_variable_relations_equal_the_brute_force_reference(self):
         full = IndependenceRelation(SPACE5, frozenset(enumerate_triplets(SPACE5)))
@@ -265,24 +279,66 @@ class TestAgainstReference:
             return m
 
         monkeypatch.setattr(graphoid, "_Rows", counted)
-        for axioms in (GRAPHOID_AXIOMS, SEMIGRAPHOID_AXIOMS, ("intersection", "symmetry")):
-            passes.clear()
-            tables.clear()
-            reports = graphoid._check_axioms(rels, axioms)
-            # (non-empty relations, n) of each pass: the 13 relations halve
-            # into runs of 3, 1, 2, 3, 2 and 2, empty ones included
-            assert passes == [(2, 2), (1, 3), (2, 31), (2, 31), (1, 3), (2, 31)]
-            assert all(2 * n + (count - 1).bit_length() <= 63 for count, n in passes)
-            # the 2- and 3-name passes look members up in the rank table, the
-            # first 3-name pass with its one member at the bound of 64 codes;
-            # the 31-name passes search the sorted codes
-            assert tables == [True, True, False, False, True, False]
-            assert reports == [reference_report(rel, axioms) for rel in rels]
-            assert all(list(report.verdicts) == list(axioms) for report in reports)
-            assert reports == [graphoid._check_axioms((rel,), axioms)[0] for rel in rels]
+        # the 2- and 3-name passes look members up in the rank table, the
+        # first 3-name pass with its one member at the bound of 64 codes;
+        # the 31-name passes search the sorted codes, and so does every
+        # pass with no member-count allowance
+        table_sides = [True, True, False, False, True, False]
+        for per_member, sides in ((graphoid._TABLE_PER_MEMBER, table_sides), (0, [False] * 6)):
+            monkeypatch.setattr(graphoid, "_TABLE_PER_MEMBER", per_member)
+            for axioms in (GRAPHOID_AXIOMS, SEMIGRAPHOID_AXIOMS, ("intersection", "symmetry")):
+                passes.clear()
+                tables.clear()
+                reports = graphoid._check_axioms(rels, axioms)
+                # (non-empty relations, n) of each pass: the 13 relations halve
+                # into runs of 3, 1, 2, 3, 2 and 2, empty ones included
+                assert passes == [(2, 2), (1, 3), (2, 31), (2, 31), (1, 3), (2, 31)]
+                assert all(2 * n + (count - 1).bit_length() <= 63 for count, n in passes)
+                assert tables == sides
+                assert reports == [reference_report(rel, axioms) for rel in rels]
+                assert all(list(report.verdicts) == list(axioms) for report in reports)
+                assert reports == [graphoid._check_axioms((rel,), axioms)[0] for rel in rels]
         # the intersection and symmetry gaps, so the reports above are not vacuous
         assert [len(report.counterexamples) for report in reports] == [
             0, 1, 1, 1, 3, 1, 0, 4, 2, 0, 0, 2, 0]
+
+    def test_six_variable_relations_on_both_sides(self):
+        # the sizes the dense benchmark checks, whole and with every fifth
+        # member dropped, so that every axiom has counterexamples to order;
+        # one pass for all six, and one per relation
+        space = build_space([(f"X{i}", ("0", "1")) for i in range(1, 7)])
+        pairs = ((0, 1), (2, 3), (4, 5))
+        rels = []
+        for blocks, combine, conj, kind in (
+                ((), np.multiply, LukasiewiczLike(), RelationKind.NON_INTERACTIVITY),
+                (pairs, np.minimum, Min(), RelationKind.NON_INTERACTIVITY),
+                (((0, 1, 2), (3, 4, 5)), np.multiply, ProductLike(), RelationKind.INDEPENDENCE)):
+            table = np.ones((2,) * 6)
+            for block in blocks:
+                values = (1.0, 0.8, 0.5, 0.3) if len(block) == 2 else np.linspace(1.0, 0.3, 8)
+                table = combine(table, np.reshape(values, [2 if i in block else 1
+                                                           for i in range(6)]))
+            rel = enumerate_relation(Distribution(space, space.names, table), conj, kind)
+            thinned = frozenset(t for i, t in enumerate(rel.sorted_members) if i % 5)
+            rels += [rel, IndependenceRelation(space, thinned)]
+        assert [len(rel) for rel in rels] == [2702, 2161, 1350, 1080, 722, 577]
+        tables = []
+        rows = graphoid._Rows
+
+        def counted(members, n, rel):
+            m = rows(members, n, rel)
+            tables.append(m.table is not None)
+            return m
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphoid, "_Rows", counted)
+            default, searched = both_sides(lambda: graphoid._check_axioms(rels, GRAPHOID_AXIOMS))
+        assert tables == [True, False]
+        assert default == searched == [is_graphoid(rel) for rel in rels]
+        assert [report.holds for report in default] == [True, False] * 3
+        assert all(set(report.failing()) == set(GRAPHOID_AXIOMS) for report in default[1::2])
+        # the brute force takes seconds past a thousand members
+        assert default[3::2] == [reference_report(rel, GRAPHOID_AXIOMS) for rel in rels[3::2]]
 
     def test_chunked_pass_of_empty_relations_checks_nothing(self, monkeypatch):
         monkeypatch.setattr(graphoid, "_Rows", None)
@@ -307,11 +363,20 @@ def submasks(mask):
 
 
 class TestSplits:
-    def assert_each_submask_listed_once(self, *rels):
+    def assert_each_submask_listed_once(self, *rels, table):
+        # `table`: whether the pass has a rank table, so that the distinct
+        # masks come from the presence table; if so, the sorted side is
+        # checked on the same rows too
         encodings = [rel._encoding for rel in rels]
         rows = np.concatenate([block for _, block in encodings])
-        m = graphoid._Rows(rows, max(len(names) for names, _ in encodings),
-                           np.arange(len(rels)).repeat([len(rel) for rel in rels]))
+        n = max(len(names) for names, _ in encodings)
+        ids = np.arange(len(rels)).repeat([len(rel) for rel in rels])
+        both = both_sides(lambda: graphoid._Rows(rows, n, ids))
+        assert [m.table is not None for m in both] == [table, False]
+        for m in both[:1 + table]:
+            self.assert_splits(m, rows)
+
+    def assert_splits(self, m, rows):
         for column, part in enumerate("bc", 1):
             listed = {}
             for owner, kept, pos in zip(*(values.tolist() for values in m.splits[part])):
@@ -322,14 +387,16 @@ class TestSplits:
                 for i, row in enumerate(rows) if row[column]}
 
     def test_one_member(self):
-        self.assert_each_submask_listed_once(relation(Triplet.of("X1", ("X2", "X3"))))
-        self.assert_each_submask_listed_once(relation(Triplet.of("X1", "X2", "X3")))
+        # 3 names: one member's 64 codes are at the table's bound
+        self.assert_each_submask_listed_once(relation(Triplet.of("X1", ("X2", "X3"))), table=True)
+        self.assert_each_submask_listed_once(relation(Triplet.of("X1", "X2", "X3")), table=True)
 
     def test_rows_sharing_masks_and_empty_conditions(self):
         full = IndependenceRelation(SPACE4, frozenset(TRIPLETS4))
         assert sum(not t.c for t in full) > 1 and len({t.b for t in full}) < len(full)
-        self.assert_each_submask_listed_once(full)
-        self.assert_each_submask_listed_once(relation(Triplet.of("X1", ("X2", "X3"))), full)
+        self.assert_each_submask_listed_once(full, table=True)
+        self.assert_each_submask_listed_once(relation(Triplet.of("X1", ("X2", "X3"))), full,
+                                             table=True)
 
     def test_thirty_one_names(self):
         space = build_space([(f"V{i:02}", ("0", "1")) for i in range(31)])
@@ -338,7 +405,7 @@ class TestSplits:
             Triplet.of(v[:23], v[23:27], v[27:]), Triplet.of(v[27:], v[23:27], v[:4]),
             Triplet.of(v[:29], v[29], v[30]), Triplet.of(v[4:27], v[27:], ())}))
         assert len(wide._encoding[0]) == 31
-        self.assert_each_submask_listed_once(wide)
+        self.assert_each_submask_listed_once(wide, table=False)
 
 
 @pytest.fixture

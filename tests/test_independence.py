@@ -45,7 +45,7 @@ from possind import (
     random_distribution,
 )
 from possind import graphoid, independence
-from possind.core import _mask_tables
+from possind.core import _mask_tables, triplets_from_masks
 from possind.independence import CROSSOVER_CELLS
 
 from conftest import SPACE3, distributions3, triplets3
@@ -942,6 +942,35 @@ class TestEncoding:
                         used.add((space, len(rel._encoding[0])))
         # empty relations, and relations over part of the scope and over all of it
         assert all({0, 4} < {n for over, n in used if over == space} for space in SORTED_APART)
+
+    def test_encodings_where_the_packed_sort_key_is_widest(self):
+        # an enumerated relation sorts its members by one key of their parts'
+        # ranks, n bits each: at 8 names they fill 24 bits; the full
+        # relations use every rank, and the names sort apart from the space
+        wide = build_space([(n, "01") for n in ("X2", "X10", "b", "a", "B", "A", "X1", "x")])
+        tables = [(space, np.ones(space.shape(space.names)), (RelationKind.NON_INTERACTIVITY,))
+                  for space in (wide, *SORTED_APART)]
+        tables += [(wide, blocked_table(wide, blocks, combine, 0), tuple(RelationKind))
+                   for blocks, combine in ((((0, 5), (1, 3, 7), (2, 4, 6)), np.multiply),
+                                           (((0, 7), (1, 2, 3, 4, 5, 6)), np.minimum))]
+        sizes = []
+        for space, table, kinds in tables:
+            dist = Distribution(space, space.names, table)
+            for pair in independence._enumerate_relations(dist, (MIN,), kinds):
+                for rel in pair:
+                    sizes.append(len(rel))
+                    assert len(rel._encoding[0]) == len(space)
+                    assert_encoded_as_hand_built(rel)
+        assert sizes == [52670, 110, 110, 1270, 1270, 890, 7210]
+
+    def test_hand_built_members_in_reverse_sort_key_order(self):
+        # a hand-built relation sorts its members by sort_key itself
+        space = SORTED_APART[1]
+        members = sorted(enumerate_triplets(space), key=lambda t: t.sort_key)
+        rel = IndependenceRelation(space, frozenset(reversed(members)))
+        names, rows = rel._encoding
+        assert rel.sorted_members == tuple(members) and names == tuple(sorted(space.names))
+        assert triplets_from_masks(names, rows.tolist()) == members
 
     def test_mask_tables_rank_masks_by_their_sorted_names(self):
         # a mask ranks by the sorted tuple of its names, a prefix first, and
