@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -45,9 +46,11 @@ ENCODED_NAMES = 31
 
 
 def check_eps(eps: float) -> None:
-    """Raise ValueError unless `eps` is a finite tolerance >= 0."""
-    if not (np.isfinite(eps) and eps >= 0.0):
-        raise ValueError(f"eps must be a finite number >= 0, got {eps}")
+    """Raise ValueError unless `eps` is a finite real tolerance >= 0: an
+    int, a float or a numpy scalar of either, not a bool."""
+    if isinstance(eps, (bool, np.bool_)) or not isinstance(eps, numbers.Real) or not (
+            math.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"eps must be a finite number >= 0, got {eps!r}")
 
 
 def _check_grid(grid: int) -> None:

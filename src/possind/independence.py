@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -46,6 +47,8 @@ RELATION_GUARD = 100_000
 
 #: A block of the enumeration gathers at most this many cells per side, in
 #: whole units (see _row_tables); a larger unit takes a block of its own.
+#: A membership test walks its frame in chunks of at most this many cells
+#: per conditional, or one run of the frame's last axis if that is longer.
 BLOCK_CELLS = 1 << 13
 
 #: Scopes whose frames have more cells than this are enumerated one triplet
@@ -147,19 +150,44 @@ def _membership_sides(dist, conj, kind, a, b, c, memo):
 
 
 def _membership(dist, t, conj, kind, eps) -> MembershipEvidence:
+    """The definition's test of `t`, with witnesses: per chunk of the
+    triplet's frame, one residuum call and one range check on the stacked
+    (given, total) marginals of every conditional of _side_pairs, one
+    conjunction for no-interactivity and one comparison for all sides.  A
+    chunk is a C-order run of at most BLOCK_CELLS cells per conditional,
+    or one run of the last axis if that is longer.  Witnesses list each
+    side's failing points in C order, side after side."""
     _validate_membership(dist, t, eps)
     a, b, c = masks(dist.scope, t.a, t.b, t.c)
     full = dist.space.subset(t.a | t.b | t.c)
     shape = dist.space.shape(full)
-    witnesses: list[Witness] = []
-    for lhs, rhs in _membership_sides(dist, conj, kind, a, b, c, {}):
-        # lhs spans a|b|c: broadcast rhs onto it, squeeze the axes outside
-        lhs, rhs = (side.reshape(shape) for side in np.broadcast_arrays(lhs, rhs))
-        witnesses.extend(
-            Witness(dist.space.assignment_at(full, idx), float(lhs[idx]), float(rhs[idx]))
-            for idx in map(tuple, np.argwhere(np.abs(lhs - rhs) > eps).tolist())
-        )
-    return MembershipEvidence(not witnesses, tuple(witnesses))
+    sides = _side_pairs(kind, a, b, c)
+    outside = tuple(i for i in range(len(dist.scope)) if not (a | b | c) >> i & 1)
+    # column k holds the k-th conditional of every side, so lhs and rhs are whole rows
+    operands = [tuple(dist._marginal(m).squeeze(outside) for m in (given, x | given))
+                for column in zip(*sides) for x, given in column]
+    split = next((j for j in range(len(shape) - 1) if math.prod(shape[j + 1:]) <= BLOCK_CELLS),
+                 len(shape) - 2)
+    step = max(1, BLOCK_CELLS // math.prod(shape[split + 1:]))
+    if math.prod(shape) > BLOCK_CELLS:  # chunks index the axes before `split` by value
+        operands = [tuple(np.broadcast_to(m, shape) for m in pair) for pair in operands]
+    found = [[] for _ in sides]
+    for outer in itertools.product(*map(range, shape[:split])):
+        for start in range(0, shape[split], step):
+            where = (*outer, slice(start, start + step))
+            rows = min(step, shape[split] - start)
+            stack = np.empty((2, len(operands), rows, *shape[split + 1:]))
+            for p, (given, total) in enumerate(operands):
+                stack[0, p], stack[1, p] = given[where], total[where]
+            lhs, *rhs = _checked(conj._residuum(*stack)).reshape(-1, len(sides), *stack.shape[2:])
+            rhs = _checked(conj._conjoin(*rhs)) if len(rhs) == 2 else rhs[0]
+            hit = np.nonzero(np.abs(lhs - rhs) > eps)
+            for s, at, *rest, left, right in zip(*(axis.tolist() for axis in hit),
+                                                 lhs[hit].tolist(), rhs[hit].tolist()):
+                cell = dist.space.assignment_at(full, (*outer, start + at, *rest))
+                found[s].append(Witness(cell, left, right))
+    witnesses = tuple(w for side in found for w in side)
+    return MembershipEvidence(not witnesses, witnesses)
 
 
 def in_independence(dist, t, conj, eps: float = EPS) -> MembershipEvidence:

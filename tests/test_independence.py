@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -789,6 +790,91 @@ def _arrays(tables):
             yield from _arrays(table)
 
 
+NEAR_TIES = (0.0, 5e-324, 1e-300, 1e-12, 1e-9, 0.3, 0.5, 1 - 1e-12, 1.0)
+
+
+def near_tie_tables():
+    """Tables of degrees a tolerance apart, or next to 0 and 1, each with a 1."""
+    out = []
+    for seed, shape in enumerate(((2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 2, 2))):
+        rng = np.random.default_rng(seed)
+        space = build_space([(f"X{i + 1}", [str(v) for v in range(f)])
+                             for i, f in enumerate(shape)])
+        table = np.array(NEAR_TIES)[rng.integers(0, len(NEAR_TIES), size=shape)]
+        table.flat[rng.integers(0, table.size)] = 1.0
+        out.append((space, table))
+    return out
+
+
+def reference_records(dist, t, conj, kind, epsilons):
+    """Per eps, the verdict and witnesses of `t` from the public condition()
+    tables, each broadcast onto the triplet's frame: side after side, in C
+    order."""
+    a, b, c = t.a, t.b, t.c
+    full = dist.space.subset(a | b | c)
+    if kind is RelationKind.INDEPENDENCE:
+        sides = (((a, b | c), (a, c)), ((b, a | c), (b, c)))
+    else:
+        sides = (((a | b, c), (a, c), (b, c)),)
+    tables = []
+    for side in sides:
+        lhs, *rhs = (condition(dist, x, given, conj).extend(full).table for x, given in side)
+        tables.append((lhs, conj.conjoin(*rhs) if len(rhs) == 2 else rhs[0]))
+    records = []
+    for eps in epsilons:
+        record = [(dist.space.assignment_at(full, idx), lhs[idx].hex(), rhs[idx].hex())
+                  for lhs, rhs in tables
+                  for idx in map(tuple, np.argwhere(np.abs(lhs - rhs) > eps).tolist())]
+        records.append((not record, record))
+    return records
+
+
+class TestChunkedMembership:
+    @pytest.mark.parametrize("kind", list(RelationKind), ids=lambda k: k.value)
+    def test_witnesses_do_not_depend_on_the_chunk_size(self, kind, block_cells):
+        test = in_independence if kind is RelationKind.INDEPENDENCE else in_noninteractivity
+        epsilons = (1e-9, 0.0)
+        cases, expected = [], []
+        for space, table in seeded_tables() + mixed_tables() + near_tie_tables():
+            dist = Distribution(space, space.names, table)
+            for t in enumerate_triplets(space):
+                for conj in ROUTE_FAMILIES + (Hamacher(),):
+                    cases += [(dist, t, conj, eps) for eps in epsilons]
+                    expected += reference_records(dist, t, conj, kind, epsilons)
+        assert any(verdict for verdict, _ in expected)
+        assert any(len(witnesses) > 1 for _, witnesses in expected)
+        # every case at the default size, and at one of the small sizes in turn:
+        # those split every frame, and all of them would triple the test's time
+        default, small = independence.BLOCK_CELLS, (1, 3, 7)
+        for cells in small + (default,):
+            block_cells(cells)
+            for i, (case, (verdict, witnesses)) in enumerate(zip(cases, expected)):
+                if cells != default and small[i % len(small)] != cells:
+                    continue
+                evidence = test(*case)
+                assert evidence.verdict is verdict
+                assert [(w.assignment, w.left.hex(), w.right.hex())
+                        for w in evidence.witnesses] == witnesses
+
+    @pytest.mark.parametrize("test, conj", [(in_independence, MIN),
+                                            (in_noninteractivity, LukasiewiczLike(Generator(2.0)))],
+                             ids=["independence-min", "noninteractivity-luka2"])
+    def test_a_warm_test_allocates_no_frame_sized_array(self, test, conj):
+        # 10^6 cells, 8 MB per frame-sized float array; the marginals are kept
+        # by the distribution, so the second call allocates only its chunks
+        space = build_space([(f"X{i + 1}", [str(v) for v in range(10)]) for i in range(6)])
+        dist = Distribution(space, space.names, np.ones((10,) * 6))
+        t = Triplet.of("X1", ("X2", "X3"), ("X4", "X5", "X6"))
+        assert test(dist, t, conj).verdict
+        tracemalloc.start()
+        try:
+            assert test(dist, t, conj).verdict
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+
 class TestPlan:
     def test_both_kinds_share_one_plan_per_shape(self):
         independence._plan.cache_clear()
@@ -1055,7 +1141,7 @@ class TestConditionOnce:
 
 
 class TestEpsValidation:
-    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0, "1e-9", None, True])
     def test_membership_and_enumeration_reject_bad_eps(self, eps):
         # at eps = nan this dependent pair used to pass as independent
         space = build_space([("X1", "01"), ("X2", "01")])
@@ -1068,7 +1154,7 @@ class TestEpsValidation:
         with pytest.raises(ValueError):
             enumerate_relation(dist, MIN, RelationKind.INDEPENDENCE, eps)
 
-    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0, "1e-9", None, True])
     def test_characterizations_reject_bad_eps(self, eps, one_sided):
         t = Triplet.of("X1", "X2", "X3")
         for fn in (characterize_luka, characterize_luka_ni,
