@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -388,7 +389,7 @@ def _write_reproducer(config, failure: FuzzFailure) -> None:
         return
     directory = Path(config.reproducer_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    safe = failure.conjunction.replace(":", "-").replace("=", "-")
+    safe = re.sub(r"[^A-Za-z0-9._-]", "-", failure.conjunction)
     path = directory / f"possind-reproducer-trial{failure.trial}-{safe}.json"
     write_json(failure.reproducer, path)
     failure.path = str(path)

@@ -8,11 +8,19 @@ A distribution document is a single object:
 Assignments bind every listed variable; unlisted assignments default to
 possibility 0.  Reproducer documents add a `conjunction` spec string and
 the trial `seed`.
+
+Every file the package writes goes through `write_json`, whose bytes are
+json.dumps(doc, indent=2, sort_keys=True) and a newline, encoded by
+CPython's C encoder rather than the pure-Python one `indent` selects.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -141,10 +149,100 @@ def load_distribution(path) -> Distribution:
     return parse_distribution(doc)
 
 
+_INDENT = "  "
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _encoder(separator: str):
+    """CPython's C encoder, compact but for `separator` between items."""
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, encode_basestring_ascii,
+        None, ": ", separator, True, False, True)
+
+
+def _body(obj, separator: str) -> str:
+    """The C encoding of a flat container, without its brackets."""
+    return "".join(_encoder(separator)(obj, 0))[1:-1]
+
+
+def _shaped(dicts, model: dict) -> bool:
+    """Whether every item is a dict with exactly the str keys of `model`."""
+    return (set(map(type, model)) == {str} and set(map(type, dicts)) == {dict}
+            and all(map(model.keys().__eq__, map(dict.keys, dicts))))
+
+
+def _records(rows: list, pad: str):
+    """The rows' text from one template, or None unless every row has the
+    first row's shape: str keys, each value a scalar or a non-empty dict of
+    scalars with str keys.  The template is the first row with a NUL for
+    each scalar; ensure_ascii escapes every NUL inside a string."""
+    first = rows[0]
+    if (len(rows) < 2 or type(first) is not dict or not first
+            or not set(map(type, first.values())) <= _SCALARS | {dict} or not _shaped(rows, first)):
+        return None
+    inner, lines, columns = pad + _INDENT, [], []
+    for key in sorted(first):
+        column, name = list(map(itemgetter(key), rows)), encode_basestring_ascii(key)
+        value = first[key]
+        if type(value) is not dict:
+            columns.append(column)
+            lines.append(name + ": \0")
+            continue
+        if not value or not _shaped(column, value):
+            return None
+        sub = sorted(value)
+        columns.extend(list(map(itemgetter(k), column)) for k in sub)
+        lines.append(name + ": {" + ",".join(
+            inner + _INDENT + encode_basestring_ascii(k) + ": \0" for k in sub) + inner + "}")
+    scalars = list(chain.from_iterable(zip(*columns)))
+    if not set(map(type, scalars)) <= _SCALARS:
+        return None
+    template = "{" + ",".join(inner + line for line in lines) + pad + "}"
+    template = template.replace("%", "%%").replace("\0", "%s")
+    return ("," + pad).join([template] * len(rows)) % tuple(_body(scalars, "\0").split("\0"))
+
+
+def _text(obj, depth: int) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) as if written `depth` levels in."""
+    kind = type(obj)
+    if kind in _SCALARS:
+        return "".join(_encoder(",")(obj, 0))
+    if kind is list or kind is dict and set(map(type, obj)) <= {str}:
+        brackets = "[]" if kind is list else "{}"
+        if not obj:
+            return brackets
+        pad = "\n" + _INDENT * (depth + 1)
+        if set(map(type, obj if kind is list else obj.values())) <= _SCALARS:
+            body = _body(obj, "," + pad)
+        elif kind is list:
+            body = _records(obj, pad)
+            if body is None:
+                body = ("," + pad).join([_text(item, depth + 1) for item in obj])
+        else:
+            body = ("," + pad).join([
+                encode_basestring_ascii(key) + ": " + _text(value, depth + 1)
+                for key, value in sorted(obj.items())])
+        return brackets[0] + pad + body + pad[:-len(_INDENT)] + brackets[1]
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + _INDENT * depth)
+
+
 def write_json(doc, path) -> None:
     """Write a document as indented JSON with sorted keys: the layout of every
-    file the package writes (distributions, reproducers and reports)."""
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    file the package writes (distributions, reproducers and reports).
+
+    The text is json.dumps(doc, indent=2, sort_keys=True) byte for byte, in
+    UTF-8 (it is ASCII), from one C-encoder call per flat container and per
+    list of same-shaped records (`_records`).  Other containers recurse.  A
+    subtree with a non-str key, a subclass or a foreign type is left to
+    json.dumps, and so is all of `doc` without the `_json` accelerator or on
+    a RecursionError (json.dumps names a cycle), so the errors are its too."""
+    try:
+        text = _text(doc, 0) if json.encoder.c_make_encoder else None
+    except RecursionError:
+        text = None
+    Path(path).write_text((text or json.dumps(doc, indent=2, sort_keys=True)) + "\n",
+                          encoding="utf-8")
 
 
 def dump_distribution(dist: Distribution, path) -> None:

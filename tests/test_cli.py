@@ -610,6 +610,55 @@ class TestVerbContract:
             assert report[field] not in (None, []), field
 
 
+@pytest.fixture
+def odd_names_file(tmp_path):
+    """Names and a frame value that look like the JSON writer's own syntax."""
+    space = build_space([("a[%s]", ("é\0", "1")), ("b,c", ("0", "1")), ("X", ("0", "1"))])
+    table = np.reshape([1, 0.2, 1, 0.2, 0.2, 1, 0.2, 1], (2, 2, 2))
+    path = tmp_path / "odd_names.json"
+    dump_distribution(Distribution(space, space.names, table), path)
+    return str(path)
+
+
+def assert_stdlib_layout(path):
+    text = Path(path).read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+class TestReportLayout:
+    """Every file the CLI writes is laid out as json.dumps(indent=2, sort_keys=True)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["marginalize", "--dist", "odd_names", "--keep", "a[%s]"],
+        ["condition", "--dist", "odd_names", "--target", "a[%s]", "--given", "X", "--conj", "luka"],
+        ["independent", "--dist", "odd_names", "--a", "a[%s]", "--b", "X", "--conj", "min",
+         "--relation", "independence"],
+        ["enumerate", "--dist", "odd_names", "--conj", "min", "--relation", "independence"],
+        ["axioms", "--dist", "two_peak", *_RELATION, "--level", "graphoid"],
+        ["fuzz", "--trials", "300", "--grid", "2"],
+        ["examples"],
+    ], ids=lambda argv: argv[0])
+    def test_reports(self, argv, request, odd_names_file, tmp_path, capsys):
+        if "--dist" in argv:
+            at = argv.index("--dist") + 1
+            argv = [*argv[:at], request.getfixturevalue(f"{argv[at]}_file"), *argv[at + 1:]]
+        out_path = tmp_path / "report.json"
+        assert main(argv + ["--json", str(out_path)]) in (0, 1)
+        report = json.loads(out_path.read_text())
+        assert any(report[field] for field in ("results", "witnesses", "counterexamples"))
+        assert_stdlib_layout(out_path)
+        assert_stdlib_layout(odd_names_file)
+
+    def test_fuzz_reproducer(self, monkeypatch, tmp_path, capsys):
+        _plant_violation(monkeypatch)
+        out_path = tmp_path / "report.json"
+        assert main(["fuzz", "--trials", "3", "--seed", "4", "--conj", "prod",
+                     "--out", str(tmp_path), "--json", str(out_path)]) == 1
+        [reproducer] = tmp_path.glob("possind-reproducer-*.json")
+        assert_stdlib_layout(reproducer)
+        assert_stdlib_layout(out_path)
+
+
 class TestReadmeCommandLine:
     def test_every_verb_and_option_is_documented(self):
         # README's command-line block: a verb's lines start at `possind <verb>`

@@ -37,6 +37,7 @@ from possind import (
     fuzz_properties,
     is_graphoid,
     is_semigraphoid,
+    load_distribution,
     make_distribution,
     random_distribution,
 )
@@ -596,6 +597,28 @@ class TestFuzz:
         assert doc["values"] == [
             {"assignment": {"X1": "0", "X2": "0", "X3": "0"}, "possibility": 1.0}
         ]
+
+    @pytest.mark.parametrize("spec, name", [
+        ("my/../min", "my-..-min"), ("a b\\c", "a-b-c"),
+        ("luka:pow=2", "luka-pow-2"), ("prod:pow=1.0000001", "prod-pow-1.0000001"),
+    ])
+    def test_reproducer_lands_inside_its_directory(self, spec, name, tmp_path):
+        class Named(Min):
+            def spec_string(self) -> str:
+                return spec
+
+        # a near-tie table on which min independence is not a graphoid at eps 1e-9
+        near_tie = Distribution(SPACE3, SPACE3.names, np.reshape(
+            [2e-9, 1, 2e-9, 1, 1e-9, 1, 5e-324, 1 - 1e-12], (2, 2, 2)))
+        directory = tmp_path / "out"
+        report = fuzz_properties(FuzzConfig(trials=0, conjunctions=(Named(),), inject=(near_tie,),
+                                            reproducer_dir=directory))
+        [failure] = report.failures
+        assert failure.conjunction == spec
+        assert failure.path == str(directory / f"possind-reproducer-trial0-{name}.json")
+        assert [p.name for p in tmp_path.rglob("*.json")] == [Path(failure.path).name]
+        assert json.loads(Path(failure.path).read_text()) == failure.reproducer
+        assert load_distribution(failure.path).table.tobytes() == near_tie.table.tobytes()
 
     @pytest.mark.parametrize("broken", ["min-graphoid", "prod-semigraphoid", "luka-containment"])
     def test_planted_failure_at_each_claim_position(self, broken, monkeypatch, tmp_path):

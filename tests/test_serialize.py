@@ -1,9 +1,12 @@
 """Distribution document round-trips and format validation."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from possind import (
     Distribution,
@@ -19,6 +22,7 @@ from possind import (
     make_distribution,
     parse_distribution,
     reproducer_document,
+    serialize,
 )
 
 #: frames of sizes 3, 4 and 2, so a flat index mixes three radices
@@ -271,3 +275,121 @@ class TestParsedTables:
     def test_no_rows_is_the_zero_table(self):
         doc = {"variables": [{"name": n, "frame": list(f)} for n, f in SPACE342.variables]}
         assert not parse_distribution(doc).table.any()
+
+
+#: strings that look like the writer's own syntax: its NUL placeholder, a `%`
+#: template field, brackets, a quote, a backslash, non-ASCII and a lone surrogate
+TRICKY_STRINGS = ["\0", "%s", "%", "[{", '"', "\\", "é", "\ud800", ""]
+TRICKY_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, float(2**70), 0.5]
+SCALARS = st.one_of(
+    st.sampled_from(TRICKY_STRINGS), st.text(max_size=3), st.sampled_from(TRICKY_FLOATS),
+    st.floats(), st.integers(), st.just(2**70), st.booleans(), st.none())
+STR_KEYS = st.one_of(st.sampled_from(TRICKY_STRINGS), st.text(max_size=2))
+KEYS = st.one_of(STR_KEYS, st.sampled_from([1, True, None]))
+TREES = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(KEYS, children, max_size=4)),
+    max_leaves=12)
+
+
+@st.composite
+def record_lists(draw):
+    """Two or more same-shaped records, some rows perturbed, at depth 0 to 2."""
+    shape = draw(st.dictionaries(STR_KEYS, st.none() | st.lists(STR_KEYS, min_size=1,
+                                                                 max_size=3, unique=True),
+                                 min_size=1, max_size=3))
+    rows = [{key: draw(SCALARS) if sub is None else {k: draw(SCALARS) for k in sub}
+             for key, sub in shape.items()} for _ in range(draw(st.integers(2, 5)))]
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        target = draw(st.sampled_from([row, *(v for v in row.values() if type(v) is dict)]))
+        if target and draw(st.booleans()):
+            target.pop(draw(st.sampled_from(sorted(target, key=repr))))
+        else:
+            target[draw(KEYS)] = draw(TREES)
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(TREES)
+    return draw(st.sampled_from([rows, {"rows": rows, "n": 1}, [[rows], 0]]))
+
+
+def _outcome(write):
+    """The bytes written, or the type of the exception raised."""
+    try:
+        return write()
+    except Exception as exc:  # the writers must fail alike, whatever the error
+        return type(exc)
+
+
+class TestWriteJson:
+    """write_json's file is json.dumps(doc, indent=2, sort_keys=True) plus a newline."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("write_json") / "doc.json"
+
+    def check(self, doc, path):
+        def written():
+            serialize.write_json(doc, path)
+            return path.read_bytes()
+
+        want = _outcome(lambda: (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
+        assert _outcome(written) == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=TREES)
+    def test_trees(self, doc, path):
+        self.check(doc, path)
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=record_lists())
+    def test_record_lists(self, doc, path):
+        self.check(doc, path)
+
+    @pytest.mark.parametrize("doc", [
+        [{1: ["x", -0.0]}, '"', []],
+        [{True: 1.0}, {1: False}],
+        [{"k": {}}, {"k": ""}],
+        [{"\0": 1}, {"\0": 2}],
+        [{"a%s": {"%": "%s", "\0": "\0"}, "b": math.nan}, {"b": -0.0, "a%s": {"\0": 1, "%": 2}}],
+        [{"a": 1}, {"a": [1]}],
+        [{"a": {"b": 1}}, {"a": {"b": {}}}],
+        {"x": [], "y": {}, "z": [[], {}, [{}]]},
+    ], ids=["str-row", "bool-key", "empty-inner-dict", "nul-key", "records", "list-in-row",
+            "dict-in-inner-dict", "empty-containers"])
+    def test_pinned(self, doc, path):
+        self.check(doc, path)
+
+    @pytest.mark.parametrize("doc", [
+        [np.int64(1)],
+        {"values": [{"assignment": {"X1": "0"}, "possibility": 1.0},
+                    {"assignment": {"X1": "1"}, "possibility": np.int64(1)}]},
+    ], ids=["flat", "record"])
+    def test_foreign_leaf_raises_the_stdlib_error(self, doc, path):
+        with pytest.raises(TypeError) as want:
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as got:
+            serialize.write_json(doc, path)
+        assert str(got.value) == str(want.value) == "Object of type int64 is not JSON serializable"
+
+    def test_cycles_and_deep_nesting_fail_alike(self, path):
+        cycle = [{"a": 1}]
+        cycle.append([cycle])
+        deep = []
+        for _ in range(100000):
+            deep = [deep]
+        for doc, error in ((cycle, ValueError), (deep, RecursionError)):
+            with pytest.raises(error):
+                serialize.write_json(doc, path)
+
+    def test_no_accelerator_writes_the_same_bytes(self, two_peak, path, monkeypatch):
+        doc = {"values": distribution_document(two_peak)["values"], "flat": [1, "a"],
+               "nested": [{"a": [1.5]}, {}]}
+        serialize.write_json(doc, path)
+        want = path.read_bytes()
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        serialize._encoder.cache_clear()  # so a cached C encoder cannot hide the check
+        path.unlink()
+        serialize.write_json(doc, path)
+        assert path.read_bytes() == want
+        assert want == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
