@@ -16,7 +16,6 @@ import argparse
 import sys
 import time
 from dataclasses import asdict
-from pathlib import Path
 
 from .cases import run_worked_examples
 from .conjunction import parse_conjunction
@@ -37,6 +36,12 @@ _PRINT_CAP = 10  # stdout truncation; JSON reports always carry everything
 
 def _names(text: str) -> tuple[str, ...]:
     return tuple(n for n in (part.strip() for part in text.split(",")) if n)
+
+
+def _path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("the path must not be empty")
+    return text
 
 
 def _triplet_doc(t: Triplet) -> dict:
@@ -155,7 +160,7 @@ def _cmd_fuzz(args):
         seed=args.seed,
         strictly_positive=args.positive,
         eps=args.eps,
-        reproducer_dir=Path(args.out) if args.out else None,
+        reproducer_dir=args.out,
         **families,
     )
     report = fuzz_properties(config)
@@ -212,7 +217,7 @@ def _add_common(sub, *, dist=False, conj=False, relation=False, eps=True):
         )
     if eps:
         sub.add_argument("--eps", type=float, default=EPS, help="comparison tolerance")
-    sub.add_argument("--json", help="write a machine-readable report to this path")
+    sub.add_argument("--json", type=_path, help="write a machine-readable report to this path")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -260,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--conj", action="append",
         help="conjunction spec; repeatable (default: min, luka, prod)",
     )
-    sub.add_argument("--out", help="directory for reproducer files (default: none written)")
+    sub.add_argument("--out", type=_path, help="directory for reproducer files (default: none)")
     _add_common(sub)
     sub.set_defaults(handler=_cmd_fuzz)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import check_degrees
+from .core import check_count, check_degrees
 
 #: Generators refuse powers below this: Lukasiewicz-like formulas lose about
 #: 2e-16 / power of absolute accuracy, and at 1e-15 exceed min(a, b).
@@ -188,10 +188,9 @@ def residuum_oracle(conj: Conjunction, a, b, steps: int = 10_000) -> float:
     points are not excluded by float noise and tiny degrees are still
     resolved.  Converges to the closed form as steps grows.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = check_count(steps, "steps", 1)
     af, bf = float(_operand(a)), float(_operand(b))
-    s = np.linspace(0.0, 1.0, int(steps) + 1)
+    s = np.linspace(0.0, 1.0, steps + 1)
     ok = conj.conjoin(s, af) <= bf * (1.0 + 1e-12)
     return float(s[ok].max())
 

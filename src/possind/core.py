@@ -53,12 +53,15 @@ def check_eps(eps: float) -> None:
         raise ValueError(f"eps must be a finite number >= 0, got {eps!r}")
 
 
-def _check_grid(grid: int) -> None:
-    """Refuse grids whose steps k = 0..grid numpy cannot draw as int64."""
-    if grid < 1:
-        raise ValueError(f"grid must be >= 1, got {grid}")
-    if grid > np.iinfo(np.int64).max:
-        raise ValueError(f"grid must be <= {np.iinfo(np.int64).max}, got {grid}")
+def check_count(value, name: str, low: float, high: float = 2**63 - 1) -> int:
+    """`value` as an int if an integer (no bool) in [low, high], else ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
+    return int(value)
 
 
 def check_degrees(values, what: str):

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,8 +52,8 @@ from .core import (
     IndependenceRelation,
     Space,
     Triplet,
-    _check_grid,
     build_space,
+    check_count,
     check_eps,
     triplets_from_masks,
 )
@@ -312,7 +313,7 @@ def random_distribution(
     Values are drawn uniformly from {k/grid}; strictly positive draws skip
     k = 0.  Deterministic for a fixed seed.
     """
-    _check_grid(grid)
+    grid = check_count(grid, "grid", 1)
     rng = np.random.default_rng(seed)
     lo = 1 if strictly_positive else 0
     vals = np.asarray(rng.integers(lo, grid + 1, size=space.shape(space.names)), dtype=float)
@@ -371,13 +372,10 @@ class FuzzReport:
         return not self.failures
 
 
-def _fuzz_space(config: FuzzConfig) -> Space:
-    frame = [str(v) for v in range(config.frame_size)]
-    return build_space([(f"X{i + 1}", frame) for i in range(config.variables)])
-
-
-def _trial_stream(config: FuzzConfig, space: Space):
+def _trial_stream(config: FuzzConfig):
     """Each trial's (dist, seed): the injected tables with seed None, then the drawn ones."""
+    frame = [str(v) for v in range(check_count(config.frame_size, "frame_size", -math.inf))]
+    space = build_space([(f"X{i + 1}", frame) for i in range(config.variables)])
     for dist in config.inject:
         yield dist, None
     for seed in range(config.seed, config.seed + config.trials):
@@ -445,20 +443,17 @@ def fuzz_properties(config: FuzzConfig) -> FuzzReport:
     claim that an earlier one breaks.
     """
     check_eps(config.eps)
-    if config.variables < 2:
+    if check_count(config.variables, "variables", -math.inf) < 2:
         raise TooSmall("fuzzing needs at least two variables")
-    if config.trials < 0:
-        raise ValueError(f"trials must be >= 0, got {config.trials}")
-    if config.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {config.seed}")
-    _check_grid(config.grid)
+    trials = check_count(config.trials, "trials", 0)
+    check_count(config.seed, "seed", 0, math.inf)  # any seed numpy takes
+    check_count(config.grid, "grid", 1)
     if not config.conjunctions:
         raise ValueError("conjunctions must not be empty")
     _check_relation_guard(config.variables)
-    space = _fuzz_space(config)
     mined: list[MinedCounterexample] = []
     relations = 0
-    for trial, (dist, seed) in enumerate(_trial_stream(config, space)):
+    for trial, (dist, seed) in enumerate(_trial_stream(config)):
         for conj, broken, gaps in _claim_checks(dist, config.conjunctions, config.eps):
             relations += 1
             if broken is not None:
@@ -469,4 +464,4 @@ def fuzz_properties(config: FuzzConfig) -> FuzzReport:
                 return FuzzReport(trial + 1, relations, [failure], mined)
             mined.extend(MinedCounterexample(trial, conj.spec_string(), cx) for cx in gaps)
 
-    return FuzzReport(len(config.inject) + config.trials, relations, [], mined)
+    return FuzzReport(len(config.inject) + trials, relations, [], mined)

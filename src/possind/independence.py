@@ -33,8 +33,8 @@ from .core import (
     IndependenceRelation,
     Space,
     Triplet,
-    _check_grid,
     _mask_tables,
+    check_count,
     check_degrees,
     check_eps,
     masks,
@@ -296,7 +296,7 @@ def construct_luka_instance(
     the joint.  Deterministic for a fixed seed.
     """
     t.validate(space)
-    _check_grid(grid)
+    grid = check_count(grid, "grid", 1)
     rng = np.random.default_rng(seed)
     # phi rises with k, and k = grid gives phi(1) = 1
     k_min = bisect.bisect_left(range(grid), True, key=lambda k: generator.apply(k / grid) >= 0.5)

@@ -1,5 +1,7 @@
 """Shared fixtures, independent oracles and hypothesis strategies."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -7,6 +9,16 @@ from hypothesis import strategies as st
 from possind import Distribution, build_space, one_sided_min_dist, two_peak_dist
 
 GRID = 10
+
+#: Values no count argument takes: a bool, floats (an integral one too)
+#: and a string.
+NOT_COUNTS = [True, 2.5, 10.0, np.float64(3), "3"]
+
+
+def not_a_count(name, value):
+    """The pattern of the ValueError refusing `value` as the count `name`."""
+    return re.escape(f"{name} must be an integer, got {value!r}")
+
 
 #: One shared 3-binary-variable space; immutable, safe to reuse.
 SPACE3 = build_space([("X1", ("0", "1")), ("X2", ("0", "1")), ("X3", ("0", "1"))])

@@ -494,6 +494,18 @@ class TestErrorsAndDeterminism:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["marginalize", "--dist", "DIST", "--keep", "X3", "--json", ""],
+        ["fuzz", "--trials", "0", "--out", ""],
+    ], ids=["json", "out"])
+    def test_an_empty_path_is_a_usage_error(self, one_sided_file, capsys, argv):
+        # both used to be ignored: exit 0, with nothing written
+        flag = argv[-2]
+        assert main([one_sided_file if a == "DIST" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: the path must not be empty" in captured.err
+
     @pytest.mark.parametrize("verb", [["enumerate"], ["axioms", "--level", "graphoid"]],
                              ids=["enumerate", "axioms"])
     def test_out_of_memory_exits_two(self, one_sided_file, monkeypatch, capsys, verb):

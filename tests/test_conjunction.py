@@ -22,6 +22,8 @@ from possind import (
 from possind.conjunction import MIN_POWER
 from possind.core import EPS
 
+from conftest import NOT_COUNTS, not_a_count
+
 FAMILIES = (
     Min(),
     LukasiewiczLike(),
@@ -273,6 +275,17 @@ class TestResiduumOracle:
     def test_invalid_steps(self):
         with pytest.raises(ValueError):
             residuum_oracle(Min(), 0.5, 0.5, steps=0)
+
+    @pytest.mark.parametrize("steps", NOT_COUNTS, ids=repr)
+    def test_steps_must_be_an_integer(self, steps):
+        # 2.5 used to run 2 steps, and True 1
+        with pytest.raises(ValueError, match=not_a_count("steps", steps)):
+            residuum_oracle(Min(), 0.5, 0.5, steps=steps)
+
+    @pytest.mark.parametrize("conj", FAMILIES, ids=str)
+    def test_numpy_integer_steps_give_the_same_value(self, conj):
+        for a, b in ((0.9, 0.6), (0.5, 0.2), (0.3, 0.7)):
+            assert residuum_oracle(conj, a, b, np.int64(997)) == residuum_oracle(conj, a, b, 997)
 
 
 #: Degrees on a 1/1000 grid, or tiny: m * 10**-e down to 1e-300.

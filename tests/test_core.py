@@ -27,9 +27,10 @@ from possind import (
     possibility_measure,
     triplet_count,
 )
+from possind.core import check_count
 from possind.errors import DuplicateValue, PossindError
 
-from conftest import SPACE3, brute_marginal, distributions3
+from conftest import NOT_COUNTS, SPACE3, brute_marginal, distributions3, not_a_count
 
 
 class TestSpace:
@@ -366,6 +367,27 @@ class TestTriplets:
     def test_single_variable_space_rejected(self):
         with pytest.raises(TooSmall):
             enumerate_triplets(build_space([("X1", ["0", "1"])]))
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value", NOT_COUNTS + [np.True_, None], ids=repr)
+    def test_refuses_bools_and_non_integers(self, value):
+        with pytest.raises(ValueError, match=not_a_count("n", value)):
+            check_count(value, "n", 0)
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)], ids=repr)
+    def test_gives_integers_back_as_int(self, value):
+        out = check_count(value, "n", 3, 3)
+        assert (out, type(out)) == (3, int)
+
+    @pytest.mark.parametrize("value, low, message", [
+        (0, 1, "n must be >= 1, got 0"),
+        (np.int64(-1), 0, "n must be >= 0, got -1"),
+        (2**63, 0, "n must be <= 9223372036854775807, got 9223372036854775808"),
+    ])
+    def test_bounds(self, value, low, message):
+        with pytest.raises(ValueError, match=message):
+            check_count(value, "n", low)
 
 
 class TestReadme:

@@ -44,7 +44,7 @@ from possind import (
 from possind import core, graphoid, independence
 from possind.serialize import reproducer_document
 
-from conftest import SPACE3
+from conftest import NOT_COUNTS, SPACE3, not_a_count
 
 
 def relation(*triplets):
@@ -535,6 +535,17 @@ class TestRandomDistribution:
             with pytest.raises(ValueError, match=f"grid must be <= {top}, got {grid}"):
                 fuzz_properties(FuzzConfig(trials=0, grid=grid))
 
+    @pytest.mark.parametrize("grid", NOT_COUNTS, ids=repr)
+    def test_grid_must_be_an_integer(self, grid):
+        # 2.5 used to draw degrees {0, 0.4, 0.8}, and True a grid of 1
+        with pytest.raises(ValueError, match=not_a_count("grid", grid)):
+            random_distribution(SPACE3, grid=grid)
+
+    @pytest.mark.parametrize("grid", [10, 2**63 - 1])
+    def test_a_numpy_integer_grid_draws_the_same_table(self, grid):
+        numpy = random_distribution(SPACE3, grid=np.int64(grid), seed=2)
+        assert np.array_equal(numpy.table, random_distribution(SPACE3, grid=grid, seed=2).table)
+
 
 class TestFuzz:
     def test_clean_run_under_min_and_product(self):
@@ -757,6 +768,20 @@ class TestFuzz:
                 fuzz_properties(FuzzConfig(trials=3, variables=variables))
         with pytest.raises(ValueError):
             fuzz_properties(FuzzConfig(trials=-5))
+
+    @pytest.mark.parametrize("value", NOT_COUNTS, ids=repr)
+    @pytest.mark.parametrize("count", ["trials", "seed", "variables", "frame_size", "grid"])
+    def test_counts_must_be_integers(self, count, value):
+        config = FuzzConfig(**{"trials": 0, count: value})
+        with pytest.raises(ValueError, match=not_a_count(count, value)):
+            fuzz_properties(config)
+
+    def test_numpy_integer_counts_give_the_same_report(self):
+        counts = dict(trials=6, seed=1, variables=3, frame_size=2, grid=2)
+        plain = fuzz_properties(FuzzConfig(**counts))
+        numpy = fuzz_properties(FuzzConfig(**{k: np.int64(v) for k, v in counts.items()}))
+        assert plain.mined and numpy == plain
+        assert type(numpy.trials_run) is int
 
     def test_no_conjunctions_rejected(self):
         # a run that checks no relation must not report ok

@@ -49,7 +49,7 @@ from possind import graphoid, independence
 from possind.core import _mask_tables, triplets_from_masks
 from possind.independence import CROSSOVER_CELLS
 
-from conftest import SPACE3, distributions3, triplets3
+from conftest import NOT_COUNTS, SPACE3, distributions3, not_a_count, triplets3
 
 MIN, LUKA, PROD = Min(), LukasiewiczLike(), ProductLike()
 ALL_FAMILIES = (MIN, LUKA, PROD, LukasiewiczLike(Generator(2.0)), ProductLike(Generator(2.0)))
@@ -421,10 +421,18 @@ class TestConstructor:
         (0, "grid must be >= 1, got 0"),
         (-3, "grid must be >= 1, got -3"),
         (2**63, "grid must be <= 9223372036854775807, got 9223372036854775808"),
+        *[pytest.param(grid, not_a_count("grid", grid), id=repr(grid)) for grid in NOT_COUNTS],
     ])
     def test_grids_numpy_cannot_draw_are_refused(self, grid, message):
         with pytest.raises(ValueError, match=message):
             construct_luka_instance(SPACE3, Triplet.of("X1", "X2", "X3"), grid=grid)
+
+    @pytest.mark.parametrize("grid", [10, 2**63 - 1])
+    def test_a_numpy_integer_grid_draws_the_same_instance(self, grid):
+        t = Triplet.of("X1", "X2", "X3")
+        numpy, _ = construct_luka_instance(SPACE3, t, seed=4, grid=np.int64(grid))
+        plain, _ = construct_luka_instance(SPACE3, t, seed=4, grid=grid)
+        assert np.array_equal(numpy.table, plain.table)
 
     def test_factor_values_stay_on_the_grid(self):
         t = Triplet.of("X1", "X2", "X3")
