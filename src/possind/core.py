@@ -64,11 +64,19 @@ def check_count(value, name: str, low: float, high: float = 2**63 - 1) -> int:
     return int(value)
 
 
+def check_shape(shape: tuple) -> tuple:
+    """`shape`; TooLarge if a dense table of that shape has more than TABLE_GUARD cells."""
+    if math.prod(shape) > TABLE_GUARD:
+        raise TooLarge(f"{math.prod(shape)} table cells exceed the guard of {TABLE_GUARD}")
+    return shape
+
+
 def check_degrees(values, what: str):
     """`values`, an array or numpy scalar, if all lie in [0, 1]; OutOfRange
     naming `what` otherwise, NaN included.  The one range check on degrees."""
-    # logical_and gives a numpy bool, with .all(), for a scalar too
-    if not np.logical_and(values >= 0.0, values <= 1.0).all():
+    # a NaN propagates through both reductions; the initial values pass an empty array
+    if not (np.minimum.reduce(values, axis=None, initial=1.0) >= 0.0
+            and np.maximum.reduce(values, axis=None, initial=0.0) <= 1.0):
         raise OutOfRange(f"{what} must lie in [0, 1]")
     return values
 
@@ -140,10 +148,7 @@ class Space:
 
     def shape(self, scope) -> tuple[int, ...]:
         """Dense table shape over `scope`; TooLarge past TABLE_GUARD cells."""
-        shape = tuple(len(self._frames[n]) for n in scope)
-        if math.prod(shape) > TABLE_GUARD:
-            raise TooLarge(f"{math.prod(shape)} table cells exceed the guard of {TABLE_GUARD}")
-        return shape
+        return check_shape(tuple(len(self._frames[n]) for n in scope))
 
     def indices(self, assignment: Mapping[str, str], scope) -> tuple[int, ...]:
         """Table index of an assignment that binds exactly the scope."""

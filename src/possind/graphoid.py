@@ -55,6 +55,7 @@ from .core import (
     build_space,
     check_count,
     check_eps,
+    check_shape,
     triplets_from_masks,
 )
 from .errors import TooSmall
@@ -374,7 +375,7 @@ class FuzzReport:
 
 def _trial_stream(config: FuzzConfig):
     """Each trial's (dist, seed): the injected tables with seed None, then the drawn ones."""
-    frame = [str(v) for v in range(check_count(config.frame_size, "frame_size", -math.inf))]
+    frame = [str(v) for v in range(config.frame_size)]
     space = build_space([(f"X{i + 1}", frame) for i in range(config.variables)])
     for dist in config.inject:
         yield dist, None
@@ -451,6 +452,9 @@ def fuzz_properties(config: FuzzConfig) -> FuzzReport:
     if not config.conjunctions:
         raise ValueError("conjunctions must not be empty")
     _check_relation_guard(config.variables)
+    # the drawn tables' size, before any frame value is built; an empty frame is _trial_stream's
+    frame_size = max(check_count(config.frame_size, "frame_size", -math.inf), 0)
+    check_shape((frame_size,) * config.variables)
     mined: list[MinedCounterexample] = []
     relations = 0
     for trial, (dist, seed) in enumerate(_trial_stream(config)):

@@ -45,8 +45,9 @@ from .errors import BadTriplet, NotNormalised, ScopeMismatch, TooLarge, TooSmall
 #: Enumeration refuses spaces with more candidate triplets than this.
 RELATION_GUARD = 100_000
 
-#: A block of the enumeration gathers at most this many cells per side, in
-#: whole units (see _row_tables); a larger unit takes a block of its own.
+#: A block of the enumeration gathers at most this many cells per side and
+#: conjunction, in whole units (see _row_tables); a larger unit takes a
+#: block of its own.
 #: A membership test walks its frame in chunks of at most this many cells
 #: per conditional, or one run of the frame's last axis if that is longer.
 BLOCK_CELLS = 1 << 13
@@ -60,10 +61,12 @@ CROSSOVER_CELLS = 1 << 11
 PLAN_CACHE_SIZE = 8
 
 
-def _check_relation_guard(n_variables: int) -> None:
-    if triplet_count(n_variables) > RELATION_GUARD:
-        raise TooLarge(f"{triplet_count(n_variables)} candidate triplets exceed the "
-                       f"guard of {RELATION_GUARD}")
+def _check_relation_guard(n: int) -> None:
+    # 2^n <= triplet_count(n) from 3 variables on: past the guard's bit length, skip 4^n
+    count = triplet_count(n) if n < RELATION_GUARD.bit_length() else f"at least 2^{n}"
+    if isinstance(count, str) or count > RELATION_GUARD:
+        raise TooLarge(f"{n} variables give {count} candidate triplets, which exceed the guard "
+                       f"of {RELATION_GUARD}")
 
 
 class RelationKind(str, Enum):
@@ -359,11 +362,11 @@ def _plan(shape: tuple) -> tuple:
     frame sizes, (candidates, route): its candidates' (a, b, c) masks,
     scope by scope in _row_tables' order, and a route decided once from
     the group's cell count: None past CROSSOVER_CELLS, else the block
-    route (region, cell_index, left, right, sub, mirror, blocks).  Split
-    g of the group's scope q is row q * (2^k - 1) + g of `region`.  Per
-    candidate (a, b, c): left holds its rows given b | c and given c; its
-    right side, a given c, starts at `right`, and cell_index[sub], sub
-    being its local a | c, places it on its frame; mirror is where
+    route (region, index, left, mirror, blocks).  Split g of the group's
+    scope q is row q * (2^k - 1) + g of `region`.  Per candidate
+    (a, b, c): index, int32, reads its right side, a given c, at each
+    cell of its frame (the split's start plus the cell offsets of a | c);
+    left holds its rows given b | c and given c; mirror is where
     (b, a, c) is in its block.  A block (start, stop) is whole units of
     at most BLOCK_CELLS cells of right sides, or one larger unit."""
     n = len(shape)
@@ -407,11 +410,10 @@ def _plan(shape: tuple) -> tuple:
                 # C-order strides of each local mask's entry, 0 on the axes it drops
                 kept = np.where(bits, sizes, 1)
                 strides = np.cumprod(kept[:, ::-1], axis=1)[:, ::-1] // kept * bits
-                # the smallest type that holds a cell index: the plan keeps 2^k * cells of them
-                cell_index = (strides @ cell).astype(np.min_scalar_type(cells - 1))
-                route = (slice(begin, begin + given.size), cell_index, left.reshape(-1, 2),
-                         at[spread[:, a | c], spread[:, c]].ravel(), np.tile(a | c, len(axes)),
-                         mirror, tuple(zip(edges, edges[1:])))
+                index = (strides @ cell).astype(np.int32)[np.tile(a | c, len(axes))]
+                index += at[spread[:, a | c], spread[:, c]].astype(np.int32).reshape(-1, 1)
+                route = (slice(begin, begin + given.size), index, left.reshape(-1, 2), mirror,
+                         tuple(zip(edges, edges[1:])))
         if k >= 2:
             routes.append((spread[:, local].reshape(-1, 3), route))
     return _read_only((np.concatenate(operands, axis=1), tuple(routes)))
@@ -431,29 +433,31 @@ def _block_members(conjs, kinds, eps, group, conds, found) -> None:
     """Append to found[i][j] the (a, b, c) mask rows of the members of kind
     kinds[j] under conjs[i] among the candidates of `group`, a block
     group of _plan(dist.table.shape), whose conditionals under conjs[i]
-    are conds[i].  Blocks only gather and compare: the gather index of
-    the candidates' right sides, a given c, is built once per block.
-    Each kind then makes one comparison per candidate: independence of a
-    given b | c against a given c, and the second side of (a; b | c) is
-    the first of its mirror (b; a | c); no-interactivity of a | b given c
-    against a given c conjoined with b given c, the mirror's right side."""
-    candidates, (region, cell_index, left, right, sub, mirror, blocks) = group
-    # take dispatches faster than indexing here, though it copies the plan's read-only indices
-    lefts = [cond[region].reshape(-1, cell_index.shape[1]) for cond in conds]
+    are conds[i].  Blocks only gather and compare, all conjunctions at
+    once: one gather of the right sides, a given c, by the plan's index,
+    and per kind one of the left sides and one comparison per candidate
+    and conjunction.  Independence compares a given b | c against a given
+    c, and the second side of (a; b | c) is the first of its mirror
+    (b; a | c); no-interactivity a | b given c against a given c
+    conjoined with b given c, the mirror's right side."""
+    candidates, (region, index, left, mirror, blocks) = group
+    # take copies a non-contiguous source, as several rows' region is, on every call: copy it once
+    lefts = np.ascontiguousarray(conds[:, region]).reshape(len(conjs), -1, index.shape[1])
     for start, stop in blocks:
-        index = right[start:stop, None] + cell_index.take(sub[start:stop], 0)
-        pair = mirror[start:stop]
-        for i, conj in enumerate(conjs):
-            own = conds[i].take(index)
-            for members, kind in zip(found[i], kinds):
-                # both sides are range-checked, so no NaN reaches a comparison
-                if kind is RelationKind.INDEPENDENCE:
-                    ok = (np.abs(lefts[i].take(left[start:stop, 0], 0) - own) <= eps).all(axis=1)
-                    ok &= ok.take(pair)
-                else:
-                    rhs = _checked(conj._conjoin(own, own.take(pair, 0)))
-                    ok = (np.abs(lefts[i].take(left[start:stop, 1], 0) - rhs) <= eps).all(axis=1)
-                members.append(candidates[start:stop][ok])
+        # take dispatches faster than indexing, though it converts the plan's int32 index
+        own, pair = conds.take(index[start:stop], 1), mirror[start:stop]
+        for j, kind in enumerate(kinds):
+            # both sides are range-checked, so no NaN reaches a comparison
+            if kind is RelationKind.INDEPENDENCE:
+                ok = (np.abs(lefts.take(left[start:stop, 0], 1) - own) <= eps).all(axis=2)
+                ok &= ok.take(pair, 1)
+            else:
+                rhs = own.take(pair, 1)  # the mirrors' right sides, conjoined in place
+                for i, conj in enumerate(conjs):
+                    rhs[i] = _checked(conj._conjoin(own[i], rhs[i]))
+                ok = (np.abs(lefts.take(left[start:stop, 1], 1) - rhs) <= eps).all(axis=2)
+            for rows, verdict in zip(found, ok):
+                rows[j].append(candidates[start:stop][verdict])
 
 
 def enumerate_relation(
@@ -474,7 +478,8 @@ def _enumerate_relations(dist, conjs, kinds, eps=EPS) -> tuple:
     """Per conjunction of `conjs`, enumerate_relation of each kind of
     `kinds`, in one pass over the table: each conjunction makes one
     residuum call, on marginals read off one _extended table, for every
-    conditional the blocks read (_plan, _block_members).  The scopes past
+    conditional the blocks read, range-checked and stacked as one row of
+    a (conjunctions, splits) array (_plan, _block_members).  The scopes past
     CROSSOVER_CELLS are enumerated one triplet at a time, stopping at the
     first failed side, one conjunction after the other: each
     conjunction's conditionals are kept in a dict shared by its kinds and
@@ -495,7 +500,7 @@ def _enumerate_relations(dist, conjs, kinds, eps=EPS) -> tuple:
     if blocked:  # a table wholly past the crossover needs no extended table
         # indexing, not take: take copies an index that is not writeable, as the plan's are
         given, total = _extended(dist.table).ravel()[operands]
-        conds = [_checked(conj._residuum(given, total)) for conj in conjs]
+        conds = np.stack([_checked(conj._residuum(given, total)) for conj in conjs])
         for group in blocked:
             _block_members(conjs, kinds, eps, group, conds, found)
     for conj, rows in zip(conjs, found):

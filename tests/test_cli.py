@@ -344,6 +344,11 @@ class TestFuzz:
         assert main(["fuzz", "--trials", "-5"]) == 2
         assert "trials must be >= 0" in capsys.readouterr().err
 
+    def test_huge_variable_count_exits_two_with_a_short_message(self, capsys):
+        assert main(["fuzz", "--vars", "5000", "--trials", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "5000 variables" in err and len(err) < 200
+
     def test_oversized_table_exits_two(self, capsys):
         # 100**8 cells would need 800 PB
         assert main(["fuzz", "--trials", "1", "--vars", "8", "--frame", "100"]) == 2

@@ -172,11 +172,18 @@ class TestModuleFunctions:
     @pytest.mark.parametrize("fn", [conjoin, residuum])
     def test_refuse_degrees_outside_the_unit_interval(self, fn):
         for conj in FAMILIES:
-            for bad in (-0.1, 1.1, float("nan")):
+            for bad in (-0.1, 1.1, float("nan"), -5e-324):
                 with pytest.raises(OutOfRange):
                     fn(conj, bad, 0.5)
                 with pytest.raises(OutOfRange):
                     fn(conj, 0.5, np.array([0.2, bad]))
+            # a NaN first or last in an array, and a 0-d NaN
+            for bad in (np.array([np.nan, 0.5, 1.0]), np.array([0.0, 0.5, np.nan]), np.array(np.nan)):
+                with pytest.raises(OutOfRange):
+                    fn(conj, bad, 0.5)
+            # -0.0 lies in [0, 1], and an empty array holds no degree outside it
+            assert np.all(np.isfinite(fn(conj, np.array([-0.0, 0.5]), -0.0)))
+            assert fn(conj, np.array([]), 0.5).shape == (0,)
 
 
 class TestResiduum:

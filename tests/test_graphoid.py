@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -761,6 +762,24 @@ class TestFuzz:
     def test_guard_rejects_huge_spaces(self):
         with pytest.raises(TooLarge):
             fuzz_properties(FuzzConfig(trials=1, variables=9))
+
+    def test_huge_variable_counts_are_refused_without_their_count(self):
+        # 9 variables still name their count; 4^n at 4 * 10**6 variables
+        # would take seconds to compute and has 2.4 million digits
+        with pytest.raises(TooLarge, match="^9 variables give 223290 candidate triplets"):
+            fuzz_properties(FuzzConfig(trials=0, variables=9))
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="^4000000 variables give") as refused:
+            fuzz_properties(FuzzConfig(variables=4 * 10**6))
+        assert time.perf_counter() - start < 0.5 and len(str(refused.value)) < 200
+
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_oversized_tables_are_refused_before_any_frame_is_built(self, trials):
+        # 10**18 cells: a frame of 10**6 values is never listed, with or without draws
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="^1000000000000000000 table cells exceed the guard"):
+            fuzz_properties(FuzzConfig(trials=trials, frame_size=10**6))
+        assert time.perf_counter() - start < 0.5
 
     def test_too_few_variables_and_negative_trials_rejected(self):
         for variables in (1, 0, -2):

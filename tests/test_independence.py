@@ -630,7 +630,7 @@ class TestRoutesAgree:
         # its two left sides, given g = b | c and given g = c, and the position of
         # its mirror (b ; a | c) in its block: all six candidates share one block
         candidates, route = groups[0]
-        left, mirror = route[2], route[5]
+        index, left, mirror = route[1], route[2], route[3]
         assert candidates.tolist() == [[1, 2, 0], [2, 1, 0], [1, 4, 0], [4, 1, 0],
                                        [2, 4, 0], [4, 2, 0]]
         assert left.tolist() == [[2, 0], [1, 0], [5, 3], [4, 3], [8, 6], [7, 6]]
@@ -638,6 +638,27 @@ class TestRoutesAgree:
         # each kind's left side is one of the two: (X1 ; X2) conditions on {X2} or on {}
         (_, given), *_ = independence._side_pairs(kind, 1, 2, 0)[0]
         assert left[0, 0 if kind is RelationKind.INDEPENDENCE else 1] == given
+        # the plan holds each candidate's right-side gather index, over the cells
+        # of its frame in C order: where its split a | c starts, plus the offset
+        # of each cell on the frame of a | c, and there the operands read the
+        # lattice entries of c and of a | c
+        assert index.dtype == np.int32 and not index.flags.writeable
+        assert index.shape == (len(candidates), 13 * 13)
+        cell = np.indices((13, 13)).reshape(2, -1)
+        for (a, b, c), row in zip(candidates.tolist(), index):
+            axes = [axis for axis in range(3) if (a | b | c) >> axis & 1]
+
+            def entry(mask):
+                at = np.full((3, cell.shape[1]), 13)
+                for k, axis in enumerate(axes):
+                    if mask >> axis & 1:
+                        at[axis] = cell[k]
+                return np.ravel_multi_index(at, (14,) * 3)
+
+            kept = [k for k, axis in enumerate(axes) if (a | c) >> axis & 1]
+            offsets = np.ravel_multi_index(cell[kept], (13,) * len(kept))
+            assert np.array_equal(row, row[0] + offsets)
+            assert np.array_equal(operands[:, row], [entry(c), entry(a | c)])
 
     @pytest.mark.parametrize("tile", [1, 23], ids=["blocks", "one-by-one"])
     def test_sides_differing_by_exactly_eps_are_members(self, tile):
@@ -727,6 +748,20 @@ class TestCustomConjunction:
             test(dist, Triplet.of("X1", "X2"), OutOfUnit())
         with pytest.raises(OutOfRange):
             condition(dist, "X1", "X2", OutOfUnit())
+
+    @pytest.mark.parametrize("frame", [2, 50], ids=["blocks", "one-by-one"])
+    def test_a_faulty_conjunction_between_valid_ones_is_refused(self, frame):
+        # the stack's valid conjunctions do not hide the faulty one's degrees,
+        # before (residua) and after (conjoined sides) the blocks gather
+        space = build_space([(f"X{i + 1}", [str(v) for v in range(frame)]) for i in range(2)])
+        nan_table = np.zeros((frame, frame))
+        nan_table[0, 0] = 1.0
+        for dist, faulty, kinds in (
+                (random_distribution(space, seed=0), OutOfUnit(), tuple(RelationKind)),
+                (Distribution(space, space.names, nan_table), NaiveHamacher(),
+                 (RelationKind.NON_INTERACTIVITY,))):
+            with pytest.raises(OutOfRange, match=r"^conditional degrees must lie in \[0, 1\]$"):
+                independence._enumerate_relations(dist, (MIN, faulty, Hamacher()), kinds)
 
     @pytest.mark.parametrize("frame", [2, 50], ids=["blocks", "one-by-one"])
     def test_nan_conjoined_side_is_refused_on_both_routes(self, frame):
@@ -953,10 +988,15 @@ class TestBlocks:
         block_cells(default)
         expected = [tuple(enumerate_relation(dist, conj, kind) for kind in kinds)
                     for dist in dists for conj in conjs]
+        # a stack that repeats a conjunction answers for each of its entries
+        repeated = (4, 0, 4, 5)
         for cells in (1, 64, default):
             block_cells(cells)
             assert [rels for dist in dists
                     for rels in independence._enumerate_relations(dist, conjs, kinds)] == expected
+            assert [rels for dist in dists for rels in independence._enumerate_relations(
+                dist, tuple(conjs[i] for i in repeated), kinds)] == [
+                expected[d * len(conjs) + i] for d in range(len(dists)) for i in repeated]
 
     @pytest.mark.parametrize("shape", [(2, 2, 2), (2,) * 6, (12, 12, 12)],
                              ids=["2x3", "2x6", "12x3"])
