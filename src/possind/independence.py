@@ -358,17 +358,15 @@ def _plan(shape: tuple) -> tuple:
     kinds.  The block route's conditionals are residuum(*operands) over
     the flat _extended table: every split x | g, x not empty, of every
     scope of at most CROSSOVER_CELLS cells, on its own frame in C order.
-    Per group of scopes of two or more variables whose axes have the same
-    frame sizes, (candidates, route): its candidates' (a, b, c) masks,
-    scope by scope in _row_tables' order, and a route decided once from
-    the group's cell count: None past CROSSOVER_CELLS, else the block
-    route (region, index, left, mirror, blocks).  Split g of the group's
-    scope q is row q * (2^k - 1) + g of `region`.  Per candidate
-    (a, b, c): index, int32, reads its right side, a given c, at each
-    cell of its frame (the split's start plus the cell offsets of a | c);
-    left holds its rows given b | c and given c; mirror is where
-    (b, a, c) is in its block.  A block (start, stop) is whole units of
-    at most BLOCK_CELLS cells of right sides, or one larger unit."""
+    Scopes of two or more variables whose axes have the same frame sizes
+    form a group, whose route is decided once from its cell count: None
+    past CROSSOVER_CELLS, else the block route.  Consecutive block groups
+    are packed into one while their candidates times the widest one's
+    cells stay within BLOCK_CELLS; a group that does not fit starts the
+    next pack.  Per group past the crossover and per pack, (candidates,
+    route): the candidates' (a, b, c) masks, scope by scope in
+    _row_tables' order, and the route, None or (region, index, left,
+    mirror, blocks) (_pack)."""
     n = len(shape)
     groups = {}  # frame sizes of a scope's axes -> the axes of each such scope
     for scope in range(1, 1 << n):
@@ -377,7 +375,7 @@ def _plan(shape: tuple) -> tuple:
     # C-order strides of the extended table, whose last entry is the top of the lattice
     step = np.cumprod([1, *(size + 1 for size in shape[:0:-1])])[::-1]
     top = math.prod(size + 1 for size in shape) - 1
-    operands, routes = [np.zeros((2, 0), np.intp)], []  # numpy gathers fastest with intp
+    operands, packs = [np.zeros((2, 0), np.intp)], []  # numpy gathers fastest with intp
     at = np.zeros((1 << n, 1 << n), dtype=np.intp)  # [scope, g]: where split g of scope starts
     # smaller scopes first, so that the splits a route reads are placed before it
     for sizes, axes in sorted(groups.items(), key=lambda group: len(group[0])):
@@ -399,24 +397,59 @@ def _plan(shape: tuple) -> tuple:
                 q = np.arange(len(axes), dtype=np.int32)[:, None]
                 left = (q * ((1 << k) - 1))[..., None] + np.stack([b | c, c], 1)
                 ends = q * len(local) + np.append(np.flatnonzero(np.diff(c)) + 1, len(local))
-                edges, ends = [0], ends.ravel().tolist()
-                # close a block before a unit that overfills it
-                for unit, end in zip([0, *ends], ends):
-                    if (end - edges[-1]) * cells > BLOCK_CELLS and unit > edges[-1]:
-                        edges.append(unit)
-                edges.append(ends[-1])
-                mirror = (q * len(local) + mirror).ravel() - np.repeat(
-                    np.array(edges[:-1], np.int32), np.diff(edges))
                 # C-order strides of each local mask's entry, 0 on the axes it drops
                 kept = np.where(bits, sizes, 1)
                 strides = np.cumprod(kept[:, ::-1], axis=1)[:, ::-1] // kept * bits
                 index = (strides @ cell).astype(np.int32)[np.tile(a | c, len(axes))]
                 index += at[spread[:, a | c], spread[:, c]].astype(np.int32).reshape(-1, 1)
-                route = (slice(begin, begin + given.size), index, left.reshape(-1, 2), mirror,
-                         tuple(zip(edges, edges[1:])))
+                route = (slice(begin, begin + given.size), index, left.reshape(-1, 2),
+                         (q * len(local) + mirror).ravel(), ends.ravel())
         if k >= 2:
-            routes.append((spread[:, local].reshape(-1, 3), route))
-    return _read_only((np.concatenate(operands, axis=1), tuple(routes)))
+            group = (spread[:, local].reshape(-1, 3), route)
+            pack = [*packs[-1], group] if packs and route and packs[-1][-1][1] else []
+            # a block group joins the last pack while its candidates fit one block at its width
+            if pack and sum(len(rows) for rows, _ in pack) * max(
+                    part[1].shape[1] for _, part in pack) <= BLOCK_CELLS:
+                packs[-1] = pack
+            else:
+                packs.append([group])
+    return _read_only((np.concatenate(operands, axis=1), tuple(map(_pack, packs))))
+
+
+def _pack(groups: list) -> tuple:
+    """(candidates, route) of consecutive groups of _plan, routed as one.
+    The block route (region, index, left, mirror, blocks) compares its
+    candidates at the pack's width, the most cells of any of its groups;
+    a candidate of w cells reads cell j mod w, in C order, at column j.
+    Rows of `region`, a slice of the conditionals for a pack of one group,
+    else an index, hold its groups' splits, split g of a group's scope q
+    at the group's start plus q * (2^k - 1) + g.  Per candidate (a, b, c):
+    index, int32, reads its right side, a given c, at each cell of its
+    frame (the split's start plus the cell offsets of a | c); left holds
+    its rows given b | c and given c; mirror is where (b, a, c) is in its
+    block.  A block (start, stop) is whole units of at most BLOCK_CELLS
+    cells of right sides, or one larger unit."""
+    candidates, routes = zip(*groups)
+    if routes[0] is None:
+        return groups[0]
+    width, rows, count, parts = max(route[1].shape[1] for route in routes), 0, 0, []
+    for region, index, left, mirror, ends in routes:
+        cells, column = index.shape[1], np.arange(width) % index.shape[1]
+        # take keeps the copies C-ordered, as blocks slice their rows
+        parts.append((np.arange(region.start, region.stop, dtype=np.int32).reshape(
+            -1, cells).take(column, 1), index.take(column, 1), left + rows, mirror + count,
+                      ends + count))
+        rows, count = rows + (region.stop - region.start) // cells, count + len(index)
+    region, index, left, mirror, ends = map(np.concatenate, zip(*parts))
+    edges, ends = [0], ends.tolist()
+    # close a block before a unit that overfills it
+    for unit, end in zip([0, *ends], ends):
+        if (end - edges[-1]) * width > BLOCK_CELLS and unit > edges[-1]:
+            edges.append(unit)
+    edges.append(ends[-1])
+    mirror -= np.repeat(np.array(edges[:-1], np.int32), np.diff(edges))
+    return np.concatenate(candidates), (routes[0][0] if len(routes) == 1 else region, index,
+                                        left, mirror, tuple(zip(edges, edges[1:])))
 
 
 def _read_only(tables: tuple) -> tuple:
@@ -431,17 +464,19 @@ def _read_only(tables: tuple) -> tuple:
 
 def _block_members(conjs, kinds, eps, group, conds, found) -> None:
     """Append to found[i][j] the (a, b, c) mask rows of the members of kind
-    kinds[j] under conjs[i] among the candidates of `group`, a block
-    group of _plan(dist.table.shape), whose conditionals under conjs[i]
-    are conds[i].  Blocks only gather and compare, all conjunctions at
-    once: one gather of the right sides, a given c, by the plan's index,
-    and per kind one of the left sides and one comparison per candidate
-    and conjunction.  Independence compares a given b | c against a given
-    c, and the second side of (a; b | c) is the first of its mirror
-    (b; a | c); no-interactivity a | b given c against a given c
-    conjoined with b given c, the mirror's right side."""
+    kinds[j] under conjs[i] among the candidates of `group`, a pack of
+    block groups of _plan(dist.table.shape), whose conditionals under
+    conjs[i] are conds[i], whose left rows are read once through its
+    region.  Blocks only gather and compare, all conjunctions at once, at
+    the pack's width: one gather of the right sides, a given c, by the
+    plan's index, and per kind one of the left sides and one comparison
+    per candidate and conjunction.  Independence compares a given b | c
+    against a given c, and the second side of (a; b | c) is the first of
+    its mirror (b; a | c); no-interactivity a | b given c against a given
+    c conjoined with b given c, the mirror's right side."""
     candidates, (region, index, left, mirror, blocks) = group
-    # take copies a non-contiguous source, as several rows' region is, on every call: copy it once
+    # take copies a non-contiguous source, as several rows' region slice is, on every call: copy
+    # it once; an index gathers a contiguous copy
     lefts = np.ascontiguousarray(conds[:, region]).reshape(len(conjs), -1, index.shape[1])
     for start, stop in blocks:
         # take dispatches faster than indexing, though it converts the plan's int32 index
@@ -468,8 +503,9 @@ def enumerate_relation(
     Candidates are grouped by their scope a|b|c and evaluated on that
     scope's frame, with the comparisons of in_independence and
     in_noninteractivity: scopes whose frames have at most CROSSOVER_CELLS
-    cells in blocks (see _plan), on conditionals computed once per
-    table, larger ones one triplet at a time.  This is
+    cells in blocks (see _plan), where small groups of scopes are packed
+    into one, on conditionals computed once per table, larger ones one
+    triplet at a time.  This is
     _enumerate_relations of the one conjunction and kind."""
     return _enumerate_relations(dist, (conj,), (kind,), eps)[0][0]
 
@@ -479,7 +515,8 @@ def _enumerate_relations(dist, conjs, kinds, eps=EPS) -> tuple:
     `kinds`, in one pass over the table: each conjunction makes one
     residuum call, on marginals read off one _extended table, for every
     conditional the blocks read, range-checked and stacked as one row of
-    a (conjunctions, splits) array (_plan, _block_members).  The scopes past
+    a (conjunctions, splits) array, and each pack of block groups compares
+    in blocks of its own (_plan, _block_members).  The scopes past
     CROSSOVER_CELLS are enumerated one triplet at a time, stopping at the
     first failed side, one conjunction after the other: each
     conjunction's conditionals are kept in a dict shared by its kinds and

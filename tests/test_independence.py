@@ -947,6 +947,57 @@ class TestPlan:
         operands, groups = independence._plan((2049, 2))
         assert [route for _, route in groups] == [None] and operands.shape == (2, 2)
 
+    def test_small_block_groups_are_packed(self):
+        # 3 and 4 binary variables compare all their block groups in one block
+        for shape in ((2,) * 3, (2,) * 4):
+            (_, route), = independence._plan(shape)[1]
+            assert len(route[-1]) == 1
+        # at 6, the 30 pair and 240 triple candidates compare at 8 cells; the
+        # 750 of 4 variables do not fit a block with them and keep their region
+        groups = independence._plan((2,) * 6)[1]
+        assert [(len(candidates), route[1].shape[1]) for candidates, route in groups] == [
+            (270, 8), (750, 16), (1080, 32), (602, 64)]
+        assert [isinstance(route[0], slice) for _, route in groups] == [False, True, True, True]
+        # a group past the crossover ends a pack: frame sizes (2, 46) | (46, 46)
+        # | (2, 2) and (46, 2) | (2, 46, 46) | (2, 46, 2) | (46, 46, 2) | all four
+        groups = independence._plan((2, 46, 46, 2))[1]
+        assert [(len(candidates), route is None) for candidates, route in groups] == [
+            (4, False), (2, True), (6, False), (12, True), (24, False), (12, True), (50, True)]
+
+    @pytest.mark.parametrize("cells", [64, None], ids=["64", "default"])
+    def test_packs_read_what_their_groups_read(self, cells, block_cells):
+        # at 1 cell nothing packs and every group keeps its own route; a pack
+        # pads a candidate of w cells to its width, column j reading cell j mod
+        # w, both in its right-side index and in the region its left rows read
+        shapes = ((2, 2, 2), (2,) * 4, (2,) * 6, (2, 3, 4), (1, 2, 3, 2), (2, 3, 2, 3))
+        cells = cells or independence.BLOCK_CELLS
+
+        def reads(shape):
+            """Per candidate, the entries of its right side and left rows on its own cells."""
+            out, packed = {}, 0
+            for candidates, (region, index, left, *_) in independence._plan(shape)[1]:
+                width = index.shape[1]
+                if isinstance(region, slice):
+                    region = np.arange(region.start, region.stop).reshape(-1, width)
+                else:
+                    packed += 1
+                    assert len(candidates) * width <= independence.BLOCK_CELLS
+                for (a, b, c), right, rows in zip(candidates.tolist(), index, left):
+                    w = math.prod(f for i, f in enumerate(shape) if (a | b | c) >> i & 1)
+                    column = np.arange(width) % w
+                    assert np.array_equal(right, right[column])
+                    assert np.array_equal(region[rows], region[rows][:, column])
+                    out[a, b, c] = right[:w].tolist(), region[rows][:, :w].tolist()
+            return out, packed
+
+        block_cells(1)
+        expected = [reads(shape) for shape in shapes]
+        assert not any(packed for _, packed in expected)
+        block_cells(cells)
+        got = [reads(shape) for shape in shapes]
+        assert [out for out, _ in got] == [out for out, _ in expected]
+        assert any(packed for _, packed in got)
+
     @pytest.mark.parametrize("width", [1, 3])
     def test_axiom_choices_are_read_only(self, width):
         # like the plans, shared by every axiom check of this width
@@ -957,8 +1008,12 @@ class TestPlan:
 class TestBlocks:
     @pytest.mark.parametrize("kind", list(RelationKind), ids=lambda k: k.value)
     def test_relations_do_not_depend_on_the_block_size(self, kind, block_cells):
-        # at 1 cell every unit takes a block of its own, at 64 a few units share one
-        tables = seeded_tables() + mixed_tables() + crossover_tables()
+        # at 1 cell every unit takes a block of its own, at 64 a few units share
+        # one; at 64 and the default, packs mix widths that do not divide each other
+        tables = seeded_tables() + mixed_tables() + crossover_tables() + [
+            (build_space([(f"X{i + 1}", [str(v) for v in range(f)])
+                          for i, f in enumerate(shape)]), _grid_table(shape, 0))
+            for shape in ((2, 3, 4), (1, 2, 3, 2))]
 
         def relations():
             return [enumerate_relation(Distribution(space, space.names, table), conj, kind)
