@@ -343,16 +343,12 @@ class IndependenceRelation:
         self.members = members
 
     @classmethod
-    def _encoded(cls, space: Space, tables, rows: np.ndarray) -> "IndependenceRelation":
-        """The relation of the distinct valid triplets whose parts are the (M, 3)
-        int64 `rows` of indices into `tables` (_mask_tables of the 2^n masks over
-        n <= 8 names, or None), sorted here by their parts' ranks packed n bits apart."""
+    def _encoded(cls, space: Space, names: tuple, rows: np.ndarray) -> "IndependenceRelation":
+        """The relation of the distinct valid triplets whose (a, b, c) masks
+        over the sorted `names` are the (M, 3) int64 `rows`, in sort_key order."""
         rel = cls.__new__(cls)
         rel.space = space
-        rel._encoding = ((), rows)
-        if len(rows):
-            key = tables[1][rows] @ (1 << 2 * len(tables[0]), 1 << len(tables[0]), 1)
-            rel._encoding = _encode(tables, rows[key.argsort()])
+        rel._encoding = _encode(names, rows) if len(rows) else ((), rows)
         return rel
 
     def __contains__(self, t: Triplet) -> bool:
@@ -397,8 +393,8 @@ class IndependenceRelation:
         for t in members:
             t.validate(self.space)
         rows = [(index[t.a], index[t.b], index[t.c]) for t in members]
-        return _encode(_mask_tables(names, masks(names, *index)),
-                       np.array(rows, np.int64).reshape(-1, 3))
+        names, _, moved = _mask_tables(names, masks(names, *index))
+        return _encode(names, moved[np.array(rows, np.int64).reshape(-1, 3)])
 
     def __repr__(self) -> str:
         return f"IndependenceRelation({len(self)} triplets)"
@@ -420,19 +416,17 @@ def _mask_tables(order: tuple[str, ...], bitmasks) -> tuple:
     return names, rank, bits @ (1 << width)
 
 
-def _encode(tables: tuple, rows: np.ndarray) -> tuple:
-    """The _encoding (names, rows) of the triplets whose parts are the
-    (M, 3) `rows` of indices into `tables` (_mask_tables), given in
-    sort_key order: masks over the sorted names they use, in that order.
-    It builds no Triplet; triplets_from_masks decodes."""
-    names, _, moved = tables
-    out = moved[rows]
-    used = int(np.bitwise_or.reduce(out, axis=None))
+def _encode(names, rows: np.ndarray) -> tuple:
+    """The _encoding (names, rows) of the triplets whose (a, b, c) masks
+    over the sorted `names` are the (M, 3) int64 `rows`, given in sort_key
+    order: the same rows, squeezed onto the names they use.  It builds no
+    Triplet; triplets_from_masks decodes."""
+    used = int(np.bitwise_or.reduce(rows, axis=None))
     if used != (1 << len(names)) - 1:  # squeeze out the bits of names no member uses
         kept = [i for i in range(len(names)) if used >> i & 1]
-        out = (out[..., None] >> kept & 1) @ (1 << np.arange(len(kept)))
+        rows = (rows[..., None] >> kept & 1) @ (1 << np.arange(len(kept)))
         names = [names[i] for i in kept]
-    return tuple(names), out
+    return tuple(names), rows
 
 
 def triplet_count(n_variables: int) -> int:
@@ -441,15 +435,14 @@ def triplet_count(n_variables: int) -> int:
     return 4**n - 2 * 3**n + 2**n
 
 
-def candidate_masks(n_variables: int) -> list[tuple[int, int, int]]:
-    """(a, b, c) bitmasks of the candidate triplets: variable i puts bit i in
-    no part, a, b or c, the first variable slowest; a and b are nonempty."""
-    walk = [(0, 0, 0)]
-    for i in range(n_variables):
-        bit = 1 << i
-        walk = [m for a, b, c in walk
-                for m in ((a, b, c), (a | bit, b, c), (a, b | bit, c), (a, b, c | bit))]
-    return [(a, b, c) for a, b, c in walk if a and b]
+def candidate_masks(n_variables: int) -> np.ndarray:
+    """The (M, 3) int64 (a, b, c) bitmasks of the candidate triplets:
+    variable i puts bit i in no part, a, b or c, the first variable
+    slowest; a and b are nonempty."""
+    n = n_variables
+    part = np.arange(4**n)[:, None] >> 2 * np.arange(n - 1, -1, -1) & 3  # [row, variable]
+    rows = np.stack([(part == p) @ (1 << np.arange(n)) for p in (1, 2, 3)], axis=1)
+    return rows[(rows[:, 0] > 0) & (rows[:, 1] > 0)]
 
 
 def triplets_from_masks(order: tuple[str, ...], rows) -> list[Triplet]:
@@ -464,4 +457,4 @@ def enumerate_triplets(space: Space) -> list[Triplet]:
     """All ordered disjoint triplets (a, b, c) with a, b nonempty over the space."""
     if len(space) < 2:
         raise TooSmall("triplet enumeration needs at least two variables")
-    return triplets_from_masks(space.names, candidate_masks(len(space)))
+    return triplets_from_masks(space.names, candidate_masks(len(space)).tolist())

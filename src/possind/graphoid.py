@@ -9,25 +9,26 @@ semigraphoid satisfies the first four, a graphoid all five.
 The checks run on the relation's encoding: the (a, b, c) bitmasks of its
 members over their sorted names, as rows of an int64 array in sort_key
 order.  All instances of an axiom are produced at once by array
-operations: the splits of each distinct b or c mask, one popcount at a
-time; contraction's second premises by an equal-key join on (a, c);
-membership by codes of two bits per name (so at most core.ENCODED_NAMES
-names).  While the codes span at most _TABLE_PER_MEMBER per member,
-tables indexed by code, join key or mask hold the members' ranks, each
-key's count and which masks occur; else sorting and binary search stand
-in for them.  Any list of relations is checked in one pass: their rows
-are stacked, and each code and join key carries the relation's id in
-the bits above the code bits, so nothing matches across relations;
-where the ids would not fit in 63 bits, the list is halved.  Only
-instances whose conclusion is missing become Counterexample objects,
-each relation's listed by first premise, then by split (fewest names
-first, then by sorted names) or second premise, as a loop over the
-members in sort_key order would find them.
+operations: the splits of each b or c mask, read from one table per
+name count over at most 8 names; contraction's second premises by an
+equal-key join on (a, c); membership by codes of two bits per name (so
+at most core.ENCODED_NAMES names).  While the codes span at most
+_TABLE_PER_MEMBER per member, tables indexed by code or join key hold
+the members' ranks and each key's count; else sorting and binary
+search stand in for them.  Any list of relations is checked in one
+pass: their rows are stacked, and each code and join key carries the
+relation's id in the bits above the code bits, so nothing matches
+across relations; a list whose ids would not fit in 63 bits is
+refused.  Only instances whose conclusion is missing become
+Counterexample objects, each relation's listed by first premise, then
+by split (fewest names first, then by sorted names) or second premise,
+as a loop over the members in sort_key order would find them.
 
 The fuzzer draws random grid-valued distributions, induces independence
 and no-interactivity relations under the configured conjunctions, and
 checks the axiom level each relation is claimed to satisfy, and that
-Lukasiewicz-like independence lies inside no-interactivity.  A trial
+Lukasiewicz-like independence lies inside no-interactivity, on the
+relations' rows.  A trial
 enumerates the relations of all its conjunctions in one pass and checks
 their axioms in another, then walks the claims in order.  Violations
 of a claimed property abort the run with a serialized reproducer;
@@ -56,10 +57,12 @@ from .core import (
     check_count,
     check_eps,
     check_shape,
+    triplet_count,
     triplets_from_masks,
 )
-from .errors import TooSmall
-from .independence import RelationKind, _check_relation_guard, _enumerate_relations
+from .errors import TooLarge, TooSmall
+from .independence import (RELATION_GUARD, RelationKind, _check_relation_guard,
+                           _enumerate_relations, _read_only)
 from .serialize import reproducer_document, write_json
 
 import numpy as np
@@ -107,6 +110,32 @@ def _choices(width: int) -> np.ndarray:
     picks = np.array(picks, dtype=np.int64).T
     picks.setflags(write=False)  # shared by every check of this width
     return picks
+
+
+def _submasks(masks: np.ndarray, n: int) -> tuple:
+    """(start, count, flat) for the distinct `masks` over n names: the
+    nonempty submasks of masks[k] are flat[start[k]:start[k] + count[k]],
+    in _choices order, those of one popcount found by one _choices."""
+    bits = masks[:, None] >> np.arange(n) & 1
+    width = bits.sum(axis=1)
+    by_width, count = width.argsort(), (1 << width) - 1  # the masks, grouped by popcount
+    start = np.empty_like(count)
+    start[by_width] = count[by_width].cumsum() - count[by_width]
+    places, subs, lo = bits[by_width].nonzero()[1], [], 0
+    for w, k in enumerate(np.bincount(width).tolist()):
+        if w and k:  # the k masks of popcount w, one slice of places
+            subs.append(((1 << places[lo:lo + k * w].reshape(k, w)) @ _choices(w)).ravel())
+            lo += k * w
+    return start, count, np.concatenate(subs)
+
+
+@functools.cache
+def _split_table(n: int):
+    """_submasks of all 2^n masks over n names, read-only, 3^n - 2^n
+    submasks in all; None past the names of a space that enumeration
+    admits (RELATION_GUARD), at most 8."""
+    if triplet_count(n) <= RELATION_GUARD:
+        return _read_only(_submasks(np.arange(1 << n), n))
 
 
 _TABLE_PER_MEMBER = 64
@@ -158,30 +187,19 @@ class _Rows:
     def splits(self) -> dict:
         """{"b": (owner, kept, pos), "c": ...}: each nonempty submask `kept`
         of the b or c mask of member `owner`, pos numbering an owner's
-        submasks in _choices order.  The submasks of each distinct mask are
-        found once, those of one popcount from one _choices, and gathered.
-        With a rank table, which bounds 2^n, a presence table finds the masks."""
+        submasks in _choices order.  Over at most 8 names each mask's
+        submasks are read from _split_table; over more, those of each
+        distinct mask are found once (_submasks)."""
         masks = self.rows.T[1:].ravel()
-        if self.table is not None:
-            present = np.zeros(1 << self.n, bool)
-            present[masks] = True
-            distinct, slot = present.nonzero()[0], (present.cumsum() - 1)[masks]
-        else:
-            distinct, slot = np.unique(masks, return_inverse=True)
-        bits = distinct[:, None] >> np.arange(self.n) & 1
-        width = bits.sum(axis=1)
-        by_width = width.argsort()  # the distinct masks, grouped by popcount
-        inverse = by_width.argsort()[slot]
-        width, count = width[by_width], (1 << width[by_width]) - 1
-        places, subs, lo = bits[by_width].nonzero()[1], [], 0
-        for w, k in enumerate(np.bincount(width).tolist()):
-            if w and k:  # the k masks of popcount w, one slice of places
-                subs.append(((1 << places[lo:lo + k * w].reshape(k, w)) @ _choices(w)).ravel())
-                lo += k * w
-        many = count[inverse]  # each row's b mask, then each row's c mask
+        table = _split_table(self.n)
+        if table is None:
+            distinct, masks = np.unique(masks, return_inverse=True)
+            table = _submasks(distinct, self.n)
+        start, many, flat = table
+        start, many = start[masks], many[masks]  # each row's b mask, then each row's c mask
         ends, at = many.cumsum(), np.arange(len(many)).repeat(many)
         pos = np.arange(len(at)) - (ends - many)[at]
-        kept = np.concatenate(subs)[(count.cumsum() - count)[inverse][at] + pos]
+        kept = flat[start[at] + pos]
         owner, cut = at % len(self.rows), ends[len(self.rows) - 1]
         return dict(b=(owner[:cut], kept[:cut], pos[:cut]), c=(owner[cut:], kept[cut:], pos[cut:]))
 
@@ -257,14 +275,14 @@ def check_axiom(rel: IndependenceRelation, axiom: str) -> AxiomReport:
 def _check_axioms(rels, axioms) -> list[AxiomReport]:
     """The AxiomReport on `axioms` of each relation of `rels`, from one
     pass over the non-empty ones.  A relation's id takes the bits above
-    twice the widest name count, and where those would pass 63 bits the
-    relations are halved, each half its own pass; one relation always
-    fits."""
+    twice the widest name count; TooLarge where those would pass 63 bits.
+    One relation always fits, as does any list of fewer than 2^47
+    relations over at most 8 names."""
     live = [i for i, r in enumerate(rels) if len(r)]
     n = max((len(rels[i]._encoding[0]) for i in live), default=0)
     if 2 * n + (len(live) - 1).bit_length() > 63:
-        half = len(rels) // 2
-        return _check_axioms(rels[:half], axioms) + _check_axioms(rels[half:], axioms)
+        raise TooLarge(f"{len(live)} relations over up to {n} names overflow the axiom codes; "
+                       "check them in smaller lists")
     reports = [AxiomReport(dict.fromkeys(axioms, True), ()) for _ in rels]
     if not live:
         return reports
@@ -394,6 +412,21 @@ def _write_reproducer(config, failure: FuzzFailure) -> None:
     failure.path = str(path)
 
 
+def _first_missing(rel, other) -> Optional[Triplet]:
+    """The first member of `rel` in sort_key order that `other` lacks, or
+    None.  The rows of both, moved onto the sorted names either uses (at
+    most 21), are packed as one code per member and looked up in a set:
+    np.isin costs twice as long on a few dozen members."""
+    names = sorted({*rel._encoding[0], *other._encoding[0]})
+    codes = [((rows[..., None] >> np.arange(len(own)) & 1) @ [1 << names.index(i) for i in own]
+              @ (1, 1 << len(names), 1 << 2 * len(names))).tolist()
+             for own, rows in (rel._encoding, other._encoding)]
+    held = set(codes[1])
+    k = next((k for k, code in enumerate(codes[0]) if code not in held), None)
+    return None if k is None else triplets_from_masks(rel._encoding[0],
+                                                      rel._encoding[1][k:k + 1].tolist())[0]
+
+
 def _claim_checks(dist, conjs, eps):
     """Yield (conj, broken, gaps) for each claim on `dist` under each
     conjunction of `conjs` in turn: broken is the (property, detail) of
@@ -412,7 +445,7 @@ def _claim_checks(dist, conjs, eps):
         yield conj, None if report.holds else (
             "independence relation is a graphoid", str(report.counterexamples[0])), ()
         if isinstance(conj, LukasiewiczLike):
-            missing = next((t for t in i_rel if t not in ni_rel), None)
+            missing = _first_missing(i_rel, ni_rel) if len(i_rel) else None
             yield conj, None if missing is None else (
                 "independence is contained in no-interactivity under lukasiewicz-like conjunctions",
                 f"independence member {missing} is not in no-interactivity"), ()

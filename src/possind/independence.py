@@ -34,6 +34,7 @@ from .core import (
     Space,
     Triplet,
     _mask_tables,
+    candidate_masks,
     check_count,
     check_degrees,
     check_eps,
@@ -352,21 +353,34 @@ def _extended(table: np.ndarray) -> np.ndarray:
     return table
 
 
+@functools.cache
+def _sort_order(n: int) -> tuple:
+    """Read-only (rank, rows) over n sorted names, bit i standing for the
+    i-th: each of the 2^n masks' rank by its names (core._mask_tables),
+    and the (a, b, c) masks of every candidate triplet in sort_key order."""
+    rank = _mask_tables(tuple(range(n)), range(1 << n))[1]
+    rows = candidate_masks(n)
+    return _read_only((rank, rows[(rank[rows] @ (1 << 2 * n, 1 << n, 1)).argsort()]))
+
+
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(shape: tuple) -> tuple:
-    """Read-only (operands, groups) of tables of this shape, for both
-    kinds.  The block route's conditionals are residuum(*operands) over
-    the flat _extended table: every split x | g, x not empty, of every
-    scope of at most CROSSOVER_CELLS cells, on its own frame in C order.
-    Scopes of two or more variables whose axes have the same frame sizes
-    form a group, whose route is decided once from its cell count: None
-    past CROSSOVER_CELLS, else the block route.  Consecutive block groups
-    are packed into one while their candidates times the widest one's
-    cells stay within BLOCK_CELLS; a group that does not fit starts the
-    next pack.  Per group past the crossover and per pack, (candidates,
-    route): the candidates' (a, b, c) masks, scope by scope in
-    _row_tables' order, and the route, None or (region, index, left,
-    mirror, blocks) (_pack)."""
+    """Read-only (operands, groups, slots) of tables of this shape, for
+    both kinds, whose axes are names in sorted order: bit i of a mask
+    stands for the i-th.  The block route's conditionals are
+    residuum(*operands) over the flat _extended table: every split x | g,
+    x not empty, of every scope of at most CROSSOVER_CELLS cells, on its
+    own frame in C order.  Scopes of two or more variables whose axes
+    have the same frame sizes form a group, whose route is decided once
+    from its cell count: None past CROSSOVER_CELLS, else the block route.
+    Consecutive block groups are packed into one while their candidates
+    times the widest one's cells stay within BLOCK_CELLS; a group that
+    does not fit starts the next pack.  Per group past the crossover and
+    per pack, (candidates, route): the candidates' (a, b, c) masks, scope
+    by scope in _row_tables' order, and the route, None or (region,
+    index, left, mirror, blocks) (_pack).  Per group, slots is an int32
+    array apart from the route: each candidate's place in sort_key
+    order, its row of _sort_order(n)."""
     n = len(shape)
     groups = {}  # frame sizes of a scope's axes -> the axes of each such scope
     for scope in range(1, 1 << n):
@@ -413,7 +427,12 @@ def _plan(shape: tuple) -> tuple:
                 packs[-1] = pack
             else:
                 packs.append([group])
-    return _read_only((np.concatenate(operands, axis=1), tuple(map(_pack, packs))))
+    packs, rank = tuple(map(_pack, packs)), _sort_order(n)[0]
+    key = rank[np.concatenate([rows for rows, _ in packs])] @ (1 << 2 * n, 1 << n, 1)
+    slots = np.empty(len(key), np.int32)
+    slots[key.argsort()] = np.arange(len(key))
+    slots = np.split(slots, np.cumsum([len(rows) for rows, _ in packs])[:-1])
+    return _read_only((np.concatenate(operands, axis=1), packs, tuple(slots)))
 
 
 def _pack(groups: list) -> tuple:
@@ -462,25 +481,26 @@ def _read_only(tables: tuple) -> tuple:
     return tables
 
 
-def _block_members(conjs, kinds, eps, group, conds, found) -> None:
-    """Append to found[i][j] the (a, b, c) mask rows of the members of kind
-    kinds[j] under conjs[i] among the candidates of `group`, a pack of
-    block groups of _plan(dist.table.shape), whose conditionals under
-    conjs[i] are conds[i], whose left rows are read once through its
-    region.  Blocks only gather and compare, all conjunctions at once, at
-    the pack's width: one gather of the right sides, a given c, by the
-    plan's index, and per kind one of the left sides and one comparison
-    per candidate and conjunction.  Independence compares a given b | c
-    against a given c, and the second side of (a; b | c) is the first of
-    its mirror (b; a | c); no-interactivity a | b given c against a given
-    c conjoined with b given c, the mirror's right side."""
-    candidates, (region, index, left, mirror, blocks) = group
+def _block_members(conjs, kinds, eps, route, slots, conds, verdicts) -> None:
+    """Set verdicts[i, j] at `slots` for the candidates of a pack of block
+    groups of _plan: whether each is a member of kind kinds[j] under
+    conjs[i].  `route` is the pack's, conds[i] its conditionals under
+    conjs[i], whose left rows are read once through its region.  Blocks
+    only gather and compare, all conjunctions at once, at the pack's
+    width: one gather of the right sides, a given c, by the plan's index,
+    and per kind one of the left sides and one comparison per candidate
+    and conjunction, written to the candidates' slots.  Independence
+    compares a given b | c against a given c, and the second side of
+    (a; b | c) is the first of its mirror (b; a | c); no-interactivity
+    a | b given c against a given c conjoined with b given c, the
+    mirror's right side."""
+    region, index, left, mirror, blocks = route
     # take copies a non-contiguous source, as several rows' region slice is, on every call: copy
     # it once; an index gathers a contiguous copy
     lefts = np.ascontiguousarray(conds[:, region]).reshape(len(conjs), -1, index.shape[1])
     for start, stop in blocks:
         # take dispatches faster than indexing, though it converts the plan's int32 index
-        own, pair = conds.take(index[start:stop], 1), mirror[start:stop]
+        own, pair, at = conds.take(index[start:stop], 1), mirror[start:stop], slots[start:stop]
         for j, kind in enumerate(kinds):
             # both sides are range-checked, so no NaN reaches a comparison
             if kind is RelationKind.INDEPENDENCE:
@@ -491,8 +511,7 @@ def _block_members(conjs, kinds, eps, group, conds, found) -> None:
                 for i, conj in enumerate(conjs):
                     rhs[i] = _checked(conj._conjoin(own[i], rhs[i]))
                 ok = (np.abs(lefts.take(left[start:stop, 1], 1) - rhs) <= eps).all(axis=2)
-            for rows, verdict in zip(found, ok):
-                rows[j].append(candidates[start:stop][verdict])
+            verdicts[:, j, at] = ok
 
 
 def enumerate_relation(
@@ -512,47 +531,56 @@ def enumerate_relation(
 
 def _enumerate_relations(dist, conjs, kinds, eps=EPS) -> tuple:
     """Per conjunction of `conjs`, enumerate_relation of each kind of
-    `kinds`, in one pass over the table: each conjunction makes one
-    residuum call, on marginals read off one _extended table, for every
-    conditional the blocks read, range-checked and stacked as one row of
-    a (conjunctions, splits) array, and each pack of block groups compares
-    in blocks of its own (_plan, _block_members).  The scopes past
-    CROSSOVER_CELLS are enumerated one triplet at a time, stopping at the
-    first failed side, one conjunction after the other: each
-    conjunction's conditionals are kept in a dict shared by its kinds and
-    freed before the next conjunction's.  Each relation leaves holding
-    only its encoding, built without a Triplet by core._encode from its
-    members' mask rows over dist.scope and the one set of mask tables
-    (core._mask_tables) all relations of the call share."""
+    `kinds`, in one pass over the table, transposed (a view) so that its
+    axes stand for dist.scope's names in sorted order, and planned as
+    that shape.  Each conjunction makes one residuum call, on marginals
+    read off one _extended table, for every conditional the blocks read,
+    range-checked and stacked as one row of a (conjunctions, splits)
+    array, and each pack of block groups compares in blocks of its own
+    (_plan, _block_members).  The scopes past CROSSOVER_CELLS are
+    enumerated one triplet at a time, on masks moved back onto
+    dist.scope, stopping at the first failed side, one conjunction after
+    the other: each conjunction's conditionals are kept in a dict shared
+    by its kinds and freed before the next conjunction's.  Every verdict
+    is written to one (conjunctions, kinds, candidates) array at the
+    candidate's slot in sort_key order, so one nonzero gives each
+    relation's member rows in that order, over the sorted names.  Each
+    relation leaves holding only its encoding (core._encode), built
+    without a Triplet."""
     if not dist.normalised:
         raise NotNormalised("relation enumeration needs a normalised distribution")
-    if len(dist.scope) < 2:
+    n = len(dist.scope)
+    if n < 2:
         raise TooSmall("relation enumeration needs at least two variables")
-    _check_relation_guard(len(dist.scope))
+    _check_relation_guard(n)
     check_eps(eps)
     kinds = tuple(map(RelationKind, kinds))
-    operands, groups = _plan(dist.table.shape)
-    found = [[[] for _ in kinds] for _ in conjs]
-    blocked = [group for group in groups if group[1] is not None]
+    axes = sorted(range(n), key=dist.scope.__getitem__)  # the axis of each name, sorted
+    table = dist.table.transpose(axes)
+    operands, groups, slots = _plan(table.shape)
+    rows = _sort_order(n)[1]
+    verdicts = np.zeros((len(conjs), len(kinds), len(rows)), bool)
+    blocked = [(route, at) for (_, route), at in zip(groups, slots) if route is not None]
     if blocked:  # a table wholly past the crossover needs no extended table
         # indexing, not take: take copies an index that is not writeable, as the plan's are
-        given, total = _extended(dist.table).ravel()[operands]
+        given, total = _extended(table).ravel()[operands]
         conds = np.stack([_checked(conj._residuum(given, total)) for conj in conjs])
-        for group in blocked:
-            _block_members(conjs, kinds, eps, group, conds, found)
-    for conj, rows in zip(conjs, found):
+        for route, at in blocked:
+            _block_members(conjs, kinds, eps, route, at, conds, verdicts)
+    if len(blocked) < len(groups):  # each plan mask's bits moved back onto dist.scope
+        moved = (np.arange(1 << n)[:, None] >> np.arange(n) & 1) @ (1 << np.array(axes))
+    for i, conj in enumerate(conjs):
         memo = {}  # this conjunction's conditionals, for all its one-triplet scopes and kinds
-        for candidates, route in groups:
+        for (candidates, route), at in zip(groups, slots):
             if route is None:
-                for members, kind in zip(rows, kinds):
-                    members.append(candidates[[all(
+                for j, kind in enumerate(kinds):
+                    verdicts[i, j, at] = [all(
                         np.max(np.abs(lhs - rhs)) <= eps
                         for lhs, rhs in _membership_sides(dist, conj, kind, *t, memo))
-                        for t in candidates.tolist()]])
-    found = [[np.concatenate(members) for members in rows] for rows in found]
-    # most small tables relate nothing, and an empty relation reads no tables
-    tables = _mask_tables(dist.scope, range(1 << len(dist.scope))) if any(
-        len(members) for rows in found for members in rows) else None
-    return tuple(tuple(IndependenceRelation._encoded(dist.space, tables, members)
-                       for members in rows)
-                 for rows in found)
+                        for t in moved[candidates].tolist()]
+    found, slot = verdicts.reshape(-1, len(rows)).nonzero()
+    rows, names = rows[slot], tuple(dist.scope[axis] for axis in axes)
+    ends = found.searchsorted(np.arange(len(conjs) * len(kinds) + 1)).tolist()
+    relations = [IndependenceRelation._encoded(dist.space, names, rows[lo:hi])
+                 for lo, hi in zip(ends, ends[1:])]
+    return tuple(tuple(relations[i * len(kinds):(i + 1) * len(kinds)]) for i in range(len(conjs)))

@@ -251,8 +251,8 @@ class TestAgainstReference:
 
     def test_chunked_pass_equals_one_relation_at_a_time(self, monkeypatch):
         # relation ids sit above twice the widest name count, so relations
-        # naming 31 names share a pass in pairs only; b and c stay small,
-        # so no axiom splits many names
+        # naming 31 names share a pass in pairs only, and a longer list is
+        # refused; b and c stay small, so no axiom splits many names
         space = build_space([(f"V{i:02}", ("0", "1")) for i in range(31)])
         v = space.names
         wide = [IndependenceRelation(space, frozenset(members)) for members in (
@@ -286,14 +286,22 @@ class TestAgainstReference:
         # the 31-name passes search the sorted codes, and so does every
         # pass with no member-count allowance
         table_sides = [True, True, False, False, True, False]
+        # runs of 3, 1, 2, 3, 2 and 2 relations, empty ones included, each fit one pass
+        runs = np.cumsum([0, 3, 1, 2, 3, 2, 2]).tolist()
+        assert runs[-1] == len(rels)
         for per_member, sides in ((graphoid._TABLE_PER_MEMBER, table_sides), (0, [False] * 6)):
             monkeypatch.setattr(graphoid, "_TABLE_PER_MEMBER", per_member)
             for axioms in (GRAPHOID_AXIOMS, SEMIGRAPHOID_AXIOMS, ("intersection", "symmetry")):
                 passes.clear()
                 tables.clear()
-                reports = graphoid._check_axioms(rels, axioms)
-                # (non-empty relations, n) of each pass: the 13 relations halve
-                # into runs of 3, 1, 2, 3, 2 and 2, empty ones included
+                with pytest.raises(TooLarge, match="10 relations over up to 31 names overflow"):
+                    graphoid._check_axioms(rels, axioms)
+                with pytest.raises(TooLarge, match="3 relations over up to 31 names overflow"):
+                    graphoid._check_axioms(rels[5:9], axioms)
+                assert passes == []
+                reports = [report for lo, hi in zip(runs, runs[1:])
+                           for report in graphoid._check_axioms(rels[lo:hi], axioms)]
+                # (non-empty relations, n) of each pass
                 assert passes == [(2, 2), (1, 3), (2, 31), (2, 31), (1, 3), (2, 31)]
                 assert all(2 * n + (count - 1).bit_length() <= 63 for count, n in passes)
                 assert tables == sides
@@ -366,9 +374,8 @@ def submasks(mask):
 
 class TestSplits:
     def assert_each_submask_listed_once(self, *rels, table):
-        # `table`: whether the pass has a rank table, so that the distinct
-        # masks come from the presence table; if so, the sorted side is
-        # checked on the same rows too
+        # `table`: whether the pass has a rank table; if so, the pass without
+        # one is checked on the same rows too
         encodings = [rel._encoding for rel in rels]
         rows = np.concatenate([block for _, block in encodings])
         n = max(len(names) for names, _ in encodings)
@@ -399,6 +406,33 @@ class TestSplits:
         self.assert_each_submask_listed_once(full, table=True)
         self.assert_each_submask_listed_once(relation(Triplet.of("X1", ("X2", "X3"))), full,
                                              table=True)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_the_split_table_equals_the_distinct_masks(self, n):
+        # over at most 8 names each mask's submasks are read from one table per
+        # name count; without it, those of each distinct mask are found once;
+        # both list them in _choices order, with and without a rank table
+        rng = np.random.default_rng(n)
+        # each name in no part, a, b or c; b is never empty, and rows repeat masks
+        parts = rng.integers(0, 4, size=(40, n))
+        parts[:, rng.integers(0, n)] = 2
+        rows = np.stack([(parts == p) @ (1 << np.arange(n)) for p in (1, 2, 3)], axis=1)
+        table = graphoid._split_table(n)
+        assert sum(len(column) for column in table) == 2 * 2 ** n + 3 ** n - 2 ** n
+        assert not any(column.flags.writeable for column in table)
+        for members in (rows[:1], rows[:3], rows):
+            ids = np.zeros(len(members), np.int64)
+            read = both_sides(lambda: graphoid._Rows(members, n, ids))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(graphoid, "_split_table", lambda n: None)
+                found = both_sides(lambda: graphoid._Rows(members, n, ids))
+            for m in read + found:
+                self.assert_splits(m, members)
+            listed = [{part: [column.tolist() for column in m.splits[part]] for part in "bc"}
+                      for m in read + found]
+            assert listed == listed[:1] * 4
+            assert [m.table is not None for m in read] == [len(members) * 64 >= 4 ** n, False]
+        assert graphoid._split_table(9) is None and graphoid._split_table(31) is None
 
     def test_thirty_one_names(self):
         space = build_space([(f"V{i:02}", ("0", "1")) for i in range(31)])
@@ -610,6 +644,31 @@ class TestFuzz:
             {"assignment": {"X1": "0", "X2": "0", "X3": "0"}, "possibility": 1.0}
         ]
 
+    def test_containment_names_the_first_missing_member_from_rows(self, built):
+        # the rows of both relations move onto the names either uses, so
+        # relations over different names compare member by member; the
+        # first member in sort_key order that the other lacks is the only
+        # Triplet built
+        rng = np.random.default_rng(0)
+        cases = []
+        for _ in range(150):
+            picks = []
+            for _ in range(2):
+                names = set(rng.choice(SPACE4.names, rng.integers(2, 5), replace=False).tolist())
+                picks.append([t for t in TRIPLETS4
+                              if t.a | t.b | t.c <= names and rng.random() < 0.6])
+            kept = picks[0][::1 + int(rng.integers(0, 3))] if rng.random() < 0.5 else []
+            cases.append((IndependenceRelation(SPACE4, frozenset(picks[0])),
+                          IndependenceRelation(SPACE4, frozenset(picks[1] + kept))))
+        before = built()
+        found = [graphoid._first_missing(rel, other) for rel, other in cases if len(rel)]
+        assert built() - before == sum(t is not None for t in found)
+        assert found == [next((t for t in rel if t not in other.members), None)
+                         for rel, other in cases if len(rel)]
+        assert any(t is None for t in found) and sum(t is not None for t in found) > 50
+        assert any(rel._encoding[0] != other._encoding[0] and missing is None
+                   for (rel, other), missing in zip([c for c in cases if len(c[0])], found))
+
     @pytest.mark.parametrize("spec, name", [
         ("my/../min", "my-..-min"), ("a b\\c", "a-b-c"),
         ("luka:pow=2", "luka-pow-2"), ("prod:pow=1.0000001", "prod-pow-1.0000001"),
@@ -719,7 +778,7 @@ class TestFuzz:
 
     def test_enumerated_relations_leave_encoded(self, monkeypatch, two_peak):
         # only a hand-built relation maps its members' names to masks; an
-        # enumeration call builds one set of mask tables for all its relations
+        # enumeration call builds no mask tables: its plan holds the sort order
         def refused(*args):
             raise AssertionError("members' names mapped to masks")
 
@@ -730,10 +789,11 @@ class TestFuzz:
                 seen.append(args)
                 return fn(*args)
             monkeypatch.setattr(module, name, counted)
+        independence._sort_order(3)  # the ranks of 3 names, built once per process
         ones = Distribution(SPACE3, SPACE3.names, np.ones((2, 2, 2)))
         assert fuzz_properties(FuzzConfig(trials=0, inject=(ones,))).ok
         assert [len(args[1]) for args in calls["_encode"]] == [18] * 6
-        assert len(calls["_mask_tables"]) == 1
+        assert not calls["_mask_tables"]
         assert fuzz_properties(FuzzConfig(trials=20, seed=7)).ok and len(calls["_encode"]) > 6
         rel = enumerate_relation(two_peak, Min(), RelationKind.NON_INTERACTIVITY)
         assert is_graphoid(rel).failing() == ("intersection",)

@@ -46,7 +46,7 @@ from possind import (
     random_distribution,
 )
 from possind import graphoid, independence
-from possind.core import _mask_tables, triplets_from_masks
+from possind.core import _mask_tables, triplet_count, triplets_from_masks
 from possind.independence import CROSSOVER_CELLS
 
 from conftest import NOT_COUNTS, SPACE3, distributions3, not_a_count, triplets3
@@ -619,7 +619,7 @@ class TestRoutesAgree:
 
     @pytest.mark.parametrize("kind", list(RelationKind), ids=lambda k: k.value)
     def test_groups_past_the_crossover_keep_only_their_candidate_rows(self, kind):
-        operands, groups = independence._plan((13,) * 3)
+        operands, groups, _ = independence._plan((13,) * 3)
         assert [route is None for _, route in groups] == [False, True]
         # the block route reads the lattice entries of the pair scopes only: an
         # entry of the extended table drops the axes where it is at the frame size
@@ -930,8 +930,8 @@ class TestPlan:
     def test_plans_are_read_only(self, shape):
         # plans are shared by every call on tables of one shape; both shapes
         # have pair scopes on the block route, so both plan conditionals
-        operands, groups = independence._plan(shape)
-        arrays = list(_arrays((operands, groups)))
+        plan = independence._plan(shape)
+        operands, arrays = plan[0], list(_arrays(plan))
         assert operands.size and not any(array.flags.writeable for array in arrays)
 
     def test_the_route_is_decided_by_the_cell_count(self):
@@ -944,7 +944,7 @@ class TestPlan:
             assert (route is not None) is blocked
         # a single frame past the crossover has no route and no conditionals:
         # the operands hold only the one split of the frame of 2
-        operands, groups = independence._plan((2049, 2))
+        operands, groups, _ = independence._plan((2049, 2))
         assert [route for _, route in groups] == [None] and operands.shape == (2, 2)
 
     def test_small_block_groups_are_packed(self):
@@ -997,6 +997,27 @@ class TestPlan:
         got = [reads(shape) for shape in shapes]
         assert [out for out, _ in got] == [out for out, _ in expected]
         assert any(packed for _, packed in got)
+
+    @pytest.mark.parametrize("cells", [1, None], ids=["1", "default"])
+    def test_slots_place_candidates_in_sort_key_order(self, cells, block_cells):
+        # each candidate's slot is its row in _sort_order, whose rows list every
+        # candidate over n sorted names in sort_key order; the slots are int32,
+        # read-only and C-ordered, apart from the gather index
+        block_cells(cells or independence.BLOCK_CELLS)
+        for shape in ((2, 2), (2, 2, 2), (1, 3, 2), (2, 3, 2, 3), (2,) * 6, (13,) * 3):
+            n = len(shape)
+            rank, rows = independence._sort_order(n)
+            names = tuple("abcdefgh"[:n])
+            assert triplets_from_masks(names, rows.tolist()) == sorted(
+                enumerate_triplets(build_space([(name, "01") for name in names])),
+                key=lambda t: t.sort_key)
+            _, groups, slots = independence._plan(shape)
+            assert len(groups) == len(slots)
+            for (candidates, _), at in zip(groups, slots):
+                assert at.dtype == np.int32 and not at.flags.writeable and at.flags.c_contiguous
+                assert np.array_equal(rows[at], candidates)
+            assert sorted(np.concatenate(slots).tolist()) == list(range(triplet_count(n)))
+            assert not (rank.flags.writeable or rows.flags.writeable)
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_axiom_choices_are_read_only(self, width):
@@ -1151,6 +1172,58 @@ class TestEncoding:
                     assert len(rel._encoding[0]) == len(space)
                     assert_encoded_as_hand_built(rel)
         assert sizes == [52670, 110, 110, 1270, 1270, 890, 7210]
+
+    @pytest.mark.parametrize("cells", [1, 64, None], ids=["1", "64", "default"])
+    def test_enumerated_encodings_equal_a_sorted_reference(self, cells, block_cells):
+        # one nonzero over the verdicts at their slots gives each relation's
+        # rows: they equal its decoded members, sorted by sort_key and encoded
+        # as a hand-built relation, for both kinds at both tolerances
+        block_cells(cells or independence.BLOCK_CELLS)
+        tables = seeded_tables() + mixed_tables() + crossover_tables() + near_tie_tables() + [
+            (space, blocked_table(space, blocks, np.multiply, 0)) for space in SORTED_APART
+            for blocks in (((0, 2), (1, 3)), ((1,), (3,), (0, 2)))]
+        conjs, kinds = ROUTE_FAMILIES + (Hamacher(),), tuple(RelationKind)
+        sizes = set()
+        for space, table in tables:
+            dist = Distribution(space, space.names, table)
+            for eps in (1e-9, 0.0):
+                pairs = independence._enumerate_relations(dist, conjs, kinds, eps)
+                for rel in (rel for pair in pairs for rel in pair):
+                    names, rows = rel._encoding
+                    members = sorted(triplets_from_masks(names, rows.tolist()),
+                                     key=lambda t: t.sort_key)
+                    hand = IndependenceRelation(space, frozenset(members))
+                    hand_names, hand_rows = hand._encoding
+                    assert names == hand_names and rows.shape == hand_rows.shape == (len(rel), 3)
+                    assert rows.dtype == hand_rows.dtype == np.int64
+                    assert rows.tobytes() == hand_rows.tobytes()
+                    sizes.add((len(names) == len(space), len(rel) > 1))
+        assert sizes == {(False, False), (False, True), (True, True)}
+
+    def test_names_sorted_apart_enumerate_as_the_membership_tests(self):
+        # enumeration runs on the table transposed into sorted-name order;
+        # the one-triplet route, here on (13, 13, 13) past the crossover, moves
+        # its masks back onto the scope
+        crossing = build_space([(n, [str(v) for v in range(13)]) for n in ("b", "X10", "a")])
+        rng = np.random.default_rng(2)
+        tables = [(space, table) for space in SORTED_APART for table in (
+            _grid_table(space.shape(space.names), 0),
+            blocked_table(space, ((1,), (3,), (0, 2)), np.multiply, 0),
+            blocked_table(space, ((0,), (1, 2, 3)), np.minimum, 1))]
+        tables.append((crossing, _factor(rng, (13, 1, 13)) * _factor(rng, (1, 13, 1))))
+        assert [route is None for _, route in independence._plan((13,) * 3)[1]] == [False, True]
+        related = set()
+        for space, table in tables:
+            dist = Distribution(space, space.names, table)
+            for kind, test in ((RelationKind.INDEPENDENCE, in_independence),
+                               (RelationKind.NON_INTERACTIVITY, in_noninteractivity)):
+                for conj in (MIN, PROD, LUKA):
+                    members = enumerate_relation(dist, conj, kind).members
+                    assert members == {t for t in enumerate_triplets(space)
+                                       if test(dist, t, conj).verdict}
+                    if 0 < len(members) < triplet_count(len(space)):
+                        related.add(space)
+        assert related == {*SORTED_APART, crossing}
 
     def test_hand_built_members_in_reverse_sort_key_order(self):
         # a hand-built relation sorts its members by sort_key itself

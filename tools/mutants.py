@@ -24,11 +24,15 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CORE = "src/possind/core.py"
+GRAPHOID = "src/possind/graphoid.py"
 INDEPENDENCE = "src/possind/independence.py"
 PLAN = "tests/test_independence.py::TestPlan::"
 BLOCKS = "tests/test_independence.py::TestBlocks::"
 CUSTOM = "tests/test_independence.py::TestCustomConjunction::"
+ENCODING = "tests/test_independence.py::TestEncoding::"
 ROUTES = "tests/test_independence.py::TestRoutesAgree::test_enumeration_equals_membership_tests"
+SPLITS = "tests/test_graphoid.py::TestSplits::"
 
 MUTANTS = [
     dict(name="a pack's left padding misaligned with its right padding", file=INDEPENDENCE,
@@ -50,9 +54,8 @@ MUTANTS = [
          old="part[1].shape[1] for _, part in pack) <= BLOCK_CELLS",
          new="part[1].shape[1] for _, part in pack) <= 2 * BLOCK_CELLS",
          tests=[PLAN + "test_small_block_groups_are_packed"]),
-    dict(name="found rows zipped with the mask reversed", file=INDEPENDENCE,
-         old="for rows, verdict in zip(found, ok):",
-         new="for rows, verdict in zip(found, ok[::-1]):",
+    dict(name="verdicts written with the conjunctions reversed", file=INDEPENDENCE,
+         old="verdicts[:, j, at] = ok", new="verdicts[:, j, at] = ok[::-1]",
          tests=[BLOCKS + "test_both_kinds_in_one_pass_equal_one_kind_at_a_time"]),
     dict(name="every stack entry conjoined with the first conjunction", file=INDEPENDENCE,
          old="rhs[i] = _checked(conj._conjoin(own[i], rhs[i]))",
@@ -72,6 +75,31 @@ MUTANTS = [
          new="at[spread[:, a | c], spread[:, c & 0]]",
          tests=[f"{ROUTES}[{conj}-{kind}]" for conj in ("min", "luka", "prod")
                 for kind in ("independence", "noninteractivity")]),
+    dict(name="two adjacent plan slots swapped", file=INDEPENDENCE,
+         old="slots[key.argsort()] = np.arange(len(key))",
+         new="slots[key.argsort()] = np.arange(len(key)) ^ (np.arange(len(key)) < 2)",
+         tests=[PLAN + "test_slots_place_candidates_in_sort_key_order[1]",
+                PLAN + "test_slots_place_candidates_in_sort_key_order[default]"]),
+    dict(name="the transpose skipped, so scope order stands in for name order",
+         file=INDEPENDENCE, old="table = dist.table.transpose(axes)", new="table = dist.table",
+         tests=[ENCODING + "test_names_sorted_apart_enumerate_as_the_membership_tests"]),
+    dict(name="split submasks listed in plain lexicographic order, not fewest names first",
+         file=GRAPHOID,
+         old="for r in range(1, width + 1) for k in itertools.combinations(range(width), r)]",
+         new="for k in sorted(c for r in range(1, width + 1)"
+             " for c in itertools.combinations(range(width), r))]",
+         tests=[SPLITS + "test_the_split_table_equals_the_distinct_masks[3]",
+                "tests/test_graphoid.py::TestAgainstReference::"
+                "test_five_variable_relations_equal_the_brute_force_reference"]),
+    dict(name="the squeeze keeping one unused name", file=CORE,
+         old="kept = [i for i in range(len(names)) if used >> i & 1]",
+         new="kept = [i for i in range(len(names)) if (used | 1) >> i & 1]",
+         tests=[ENCODING + "test_enumerated_encodings_equal_a_sorted_reference[default]",
+                ENCODING + "test_enumerated_encodings_equal_the_hand_built_ones"]),
+    dict(name="containment looked up in the relation's own codes", file=GRAPHOID,
+         old="held = set(codes[1])", new="held = set(codes[0])",
+         tests=["tests/test_graphoid.py::TestFuzz::"
+                "test_containment_names_the_first_missing_member_from_rows"]),
 ]
 
 
